@@ -14,8 +14,8 @@
 //   --jobs <n>             threads for bound-set candidate evaluation
 //                          (1 = serial; any value gives identical results,
 //                          see docs/PARALLELISM.md)
-//   --cache-mb <n>         byte budget of the memoization caches (default
-//                          64; 0 keeps them enabled but evicting eagerly)
+//   --cache-mb <n>         byte budget of the multiplicity cache (default
+//                          32; 0 keeps it enabled but evicting eagerly)
 //   --no-cache             disable all memoization (docs/CACHING.md);
 //                          results are bit-identical either way
 //
@@ -85,6 +85,7 @@ struct FlowRun {
   int clb_matching = 0;
   int gates = 0;
   int depth = 0;
+  std::string network_hash;  ///< network_hash() of the emitted network
   DecomposeStats stats;
   double seconds = 0.0;
   int jobs = 1;  ///< bound-set evaluation threads this run used
@@ -96,6 +97,33 @@ struct FlowRun {
   std::vector<net::PassStats> passes;  ///< pipeline trail of this run
   obs::Report report;  ///< phase tree + counters + gauges of this run
 };
+
+/// FNV-1a over the whole network structure — the primary-input count, every
+/// LUT's inputs and table bits, and the outputs — as 16 hex digits. Equal
+/// hashes mean the same network, not merely the same counts.
+inline std::string network_hash(const net::LutNetwork& net) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(net.num_primary_inputs());
+  mix(net.num_luts());
+  for (int i = 0; i < net.num_luts(); ++i) {
+    const net::Lut& lut = net.lut(i);
+    mix(static_cast<std::int64_t>(lut.inputs.size()));
+    for (int s : lut.inputs) mix(s);
+    for (bool bit : lut.table) mix(bit);
+  }
+  mix(net.num_outputs());
+  for (int s : net.outputs()) mix(s);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
 
 namespace detail {
 
@@ -136,6 +164,7 @@ inline std::string flow_run_json(const FlowRun& row) {
   w.key("clb_matching").value(row.clb_matching);
   w.key("gates").value(row.gates);
   w.key("depth").value(row.depth);
+  w.key("network_hash").value(row.network_hash);
   w.key("seconds").value(row.seconds);
   w.key("jobs").value(row.jobs);
   w.key("decompose").begin_object();
@@ -147,7 +176,6 @@ inline std::string flow_run_json(const FlowRun& row) {
   w.key("max_depth").value(row.stats.max_depth);
   w.key("bdd_mux_fallbacks").value(row.stats.bdd_mux_fallbacks);
   w.key("encoding_pool_hits").value(static_cast<std::int64_t>(row.stats.encoding_pool_hits));
-  w.key("alpha_pool_hits").value(static_cast<std::int64_t>(row.stats.alpha_pool_hits));
   w.end_object();
   w.key("verified").value(row.verified);
   w.key("error").value(row.error);
@@ -209,7 +237,7 @@ inline long parse_flag_count(const char* flag, const char* value) {
 ///   --node-budget <n>        per-run BDD node ceiling (0 = unlimited)
 ///   --fault-inject <spec>    arm fault-injection rules (core/faultinject.h)
 ///   --jobs <n>               bound-set evaluation threads (default 1)
-///   --cache-mb <n>           memoization cache byte budget in MiB
+///   --cache-mb <n>           multiplicity cache byte budget in MiB
 ///   --no-cache               disable all memoization (docs/CACHING.md)
 /// All flags also accept the --flag=value spelling. A malformed fault spec
 /// or count exits with status 2 rather than running unprotected.
@@ -475,6 +503,7 @@ inline FlowRun run_flow_local(const std::string& name, const SynthesisOptions& o
     row.clb_matching = r.clb_matching.num_clbs;
     row.gates = r.network.count_gates();
     row.depth = r.network.depth();
+    row.network_hash = network_hash(r.network);
     row.stats = r.stats;
     row.seconds = r.seconds;
     row.verified = r.verified;
@@ -507,6 +536,7 @@ inline FlowRun flow_run_from_json(const std::string& row_json) {
   row.clb_matching = static_cast<int>(v.int_or("clb_matching"));
   row.gates = static_cast<int>(v.int_or("gates"));
   row.depth = static_cast<int>(v.int_or("depth"));
+  row.network_hash = v.string_or("network_hash");
   row.seconds = v.double_or("seconds");
   row.jobs = static_cast<int>(v.int_or("jobs", 1));
   row.verified = v.bool_or("verified");
@@ -520,7 +550,6 @@ inline FlowRun flow_run_from_json(const std::string& row_json) {
     row.stats.max_depth = static_cast<int>(d->int_or("max_depth"));
     row.stats.bdd_mux_fallbacks = static_cast<int>(d->int_or("bdd_mux_fallbacks"));
     row.stats.encoding_pool_hits = d->int_or("encoding_pool_hits");
-    row.stats.alpha_pool_hits = d->int_or("alpha_pool_hits");
   }
   if (const super::JsonValue* p = v.find("passes"); p != nullptr && p->is_array()) {
     for (const super::JsonValue& e : p->elements) {

@@ -43,11 +43,9 @@ int main() {
               result.stats.decomposition_steps,
               result.stats.total_decomposition_functions, result.stats.sum_r);
   // Sharing inside this run: decomposition functions reused across outputs
-  // by the encoder pool and the alpha pool (docs/CACHING.md). A second
-  // identical run() in this process would hit the flow-result cache — see
-  // result.report counters cache.flow.hits / cache.multiplicity.hits.
-  std::printf("encoder pool reuses: %ld, alpha pool reuses: %ld\n",
-              result.stats.encoding_pool_hits, result.stats.alpha_pool_hits);
+  // by the encoder pool (docs/CACHING.md). Bound-set scores served from the
+  // memo cache show in result.report as cache.multiplicity.hits.
+  std::printf("encoder pool reuses: %ld\n", result.stats.encoding_pool_hits);
 
   std::printf("\nBLIF netlist:\n%s", io::write_blif(result.network, "quickstart").c_str());
   return result.verified ? 0 : 1;

@@ -36,19 +36,14 @@ Globals& globals() {
   return g;
 }
 
-void apply_capacity(const CacheConfig& c) {
-  // The byte budget is split evenly between the two shared caches; the
-  // alpha pool is call-scoped and entry-capped instead (docs/CACHING.md).
-  multiplicity_cache().set_capacity(c.max_bytes / 2);
-  flow_cache().set_capacity(c.max_bytes - c.max_bytes / 2);
-}
-
-void init_locked(Globals& g) {
-  if (g.initialized) return;
+/// Installs `c` (plus the MFD_CACHE_CHECK environment override) as the
+/// active configuration and sizes the store to it.
+void install_locked(Globals& g, const CacheConfig& c) {
+  g.config = c;
   g.initialized = true;
   const char* check = std::getenv("MFD_CACHE_CHECK");
   if (check != nullptr && std::strcmp(check, "0") != 0) g.config.cross_check = true;
-  apply_capacity(g.config);
+  multiplicity_cache().set_capacity(g.config.max_bytes);
 }
 
 }  // namespace
@@ -56,26 +51,18 @@ void init_locked(Globals& g) {
 void configure(const CacheConfig& config) {
   Globals& g = globals();
   std::lock_guard<std::mutex> lock(g.mu);
-  g.config = config;
-  g.initialized = true;
-  const char* check = std::getenv("MFD_CACHE_CHECK");
-  if (check != nullptr && std::strcmp(check, "0") != 0) g.config.cross_check = true;
-  apply_capacity(g.config);
+  install_locked(g, config);
   multiplicity_cache().clear_all();
-  flow_cache().clear_all();
 }
 
 const CacheConfig& config() {
   Globals& g = globals();
   std::lock_guard<std::mutex> lock(g.mu);
-  init_locked(g);
+  if (!g.initialized) install_locked(g, g.config);
   return g.config;
 }
 
-void clear() {
-  multiplicity_cache().clear_all();
-  flow_cache().clear_all();
-}
+void clear() { multiplicity_cache().clear_all(); }
 
 // ---------------------------------------------------------------------------
 // LruCache
@@ -230,11 +217,8 @@ std::vector<std::uint64_t> multiplicity_key(
 }
 
 void publish_stats() {
-  obs::gauge_set("cache.bytes", static_cast<double>(multiplicity_cache().bytes() +
-                                                    flow_cache().bytes()));
-  obs::gauge_set("cache.entries",
-                 static_cast<double>(multiplicity_cache().entries() +
-                                     flow_cache().entries()));
+  obs::gauge_set("cache.bytes", static_cast<double>(multiplicity_cache().bytes()));
+  obs::gauge_set("cache.entries", static_cast<double>(multiplicity_cache().entries()));
 }
 
 }  // namespace mfd::cache

@@ -1,30 +1,21 @@
-// Flow-wide memoization: sharded, mutex-striped, LRU-bounded caches keyed by
-// canonical function signatures (cache/signature.h). Full design, key
-// schemes, and the determinism contract live in docs/CACHING.md.
+// Flow-wide memoization: a sharded, mutex-striped, LRU-bounded store keyed
+// by canonical function signatures (cache/signature.h). Full design, key
+// scheme, and the determinism contract live in docs/CACHING.md.
 //
-// Three caches ride on this layer:
-//   * the multiplicity cache — whole bound-set candidate evaluations
-//     (class counts, benefit, sharing gap) per (function signatures, bound
-//     set, seed); a hit skips the candidate's cofactor-table construction
-//     and ISF colorings outright. Shared across the flow thread, all pool
-//     workers, and both portfolio entries (signatures are manager and order
-//     independent), so the second portfolio run re-scores its candidate
-//     windows from the cache;
-//   * the flow-result cache — whole Synthesizer decompose results per
-//     (spec signatures, primary inputs, variable order, options fingerprint),
-//     hit by repeated synthesis of the same spec (benchmark iterations,
-//     repeated sweeps in one process);
-//   * the alpha pool — per-decompose-call reuse of emitted decomposition
-//     function LUTs; it lives in the decomposition driver's context (net
-//     signals are only meaningful within one call), not here, but reports
-//     through the same cache.* counters.
+// One cache rides on this layer: the multiplicity cache — whole bound-set
+// candidate evaluations (class counts, benefit, sharing gap) per (function
+// signatures, bound set, seed); a hit skips the candidate's cofactor-table
+// construction and ISF colorings outright. It is shared across the flow
+// thread, all pool workers, and both portfolio entries (signatures are
+// manager and order independent), so the second portfolio run re-scores its
+// candidate windows from the cache.
 //
 // Determinism contract (docs/CACHING.md): a cache lookup is an optimization
 // only. A hit must return exactly what recomputation would return, so cached
 // and --no-cache runs are bit-identical at any --jobs value. Three rules
 // enforce this:
-//   1. values are pure functions of their keys (signatures + seeds + option
-//      fingerprints — never wall-clock, never node layout);
+//   1. values are pure functions of their keys (signatures + bound set +
+//      seed — never wall-clock, never node layout);
 //   2. no cache is consulted while results could be timing-dependent:
 //      memo_safe() fails under an armed resource budget, after any
 //      degradation, or past a (fault-injected) deadline;
@@ -54,31 +45,27 @@ namespace mfd::cache {
 
 struct CacheConfig {
   bool multiplicity = true;  ///< bound-set class-count memo
-  bool alpha_pool = true;    ///< decomposition-function LUT reuse
-  bool flow_results = true;  ///< whole-decompose result memo
-  /// Total byte budget across the shared caches (the alpha pool is
-  /// call-scoped and entry-capped instead, see docs/CACHING.md). Split
-  /// between the multiplicity cache and the flow cache; eviction is LRU.
-  std::size_t max_bytes = std::size_t{64} << 20;
+  /// Byte budget of the multiplicity cache; eviction is LRU.
+  std::size_t max_bytes = std::size_t{32} << 20;
   /// Recompute every hit and abort on mismatch (debug). Also armed by the
   /// environment variable MFD_CACHE_CHECK=1 at first configure()/config().
   bool cross_check = false;
 
   static CacheConfig disabled() {
     CacheConfig c;
-    c.multiplicity = c.alpha_pool = c.flow_results = false;
+    c.multiplicity = false;
     return c;
   }
 };
 
-/// Replaces the process-wide configuration and clears every cache (entries
+/// Replaces the process-wide configuration and clears the cache (entries
 /// inserted under one capacity/mode must not leak into the next).
 void configure(const CacheConfig& config);
 
 /// The active configuration (defaults applied on first use).
 const CacheConfig& config();
 
-/// Empties all caches; configuration is untouched.
+/// Empties the cache; configuration is untouched.
 void clear();
 
 /// True when it is safe to serve or store memoized results under `gov`:
@@ -151,7 +138,8 @@ class LruCache {
 
 /// The process-wide multiplicity cache ("cache.multiplicity.*").
 LruCache& multiplicity_cache();
-/// The process-wide flow-result cache ("cache.flow.*").
+/// An empty store that nothing inserts into; kept only because the
+/// standalone benchmark (perfbench/) still reads its bytes().
 LruCache& flow_cache();
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //     so the portfolio's second entry hits entries produced by the first;
 //   * manager independent — per-worker managers (docs/PARALLELISM.md) and
 //     fresh managers across Synthesizer runs produce the same signature for
-//     the same function, which is what makes a cross-call flow cache possible
+//     the same function, which is what lets pool workers share one cache
 //     where raw edge bits (recycled by GC, private per manager) could not;
 //   * complement-friendly — H(!f) = 1 - H(f) (mod p), so negating a function
 //     is an O(1) signature operation and complement-normalized keys

@@ -23,12 +23,10 @@ class DecomposePass final : public net::Pass {
 };
 
 /// XC3000 CLB packing, greedy and matching. Analysis-only: it fills
-/// ctx.clb_greedy / ctx.clb_matching and never rewrites the network, so it
-/// also runs when the network came out of the flow-result cache.
+/// ctx.clb_greedy / ctx.clb_matching and never rewrites the network.
 class PackPass final : public net::Pass {
  public:
   const char* name() const override { return "pack"; }
-  bool mutates_network() const override { return false; }
   bool run(net::LutNetwork& net, net::PassContext& ctx) override;
 };
 

@@ -70,9 +70,8 @@ struct SynthesisResult {
   /// Which degradation-ladder rung the run finished on, every downgrade
   /// event, and the rung each primary output was synthesized at.
   DegradationReport degradation;
-  /// Pass-by-pass trail of the pipeline (skipped passes carry a
-  /// skip_reason: "cached" on a flow-cache hit, "degraded" for optional
-  /// passes dropped by the ladder).
+  /// Pass-by-pass trail of the pipeline (skipped passes carry the
+  /// skip_reason "degraded": optional passes dropped by the ladder).
   std::vector<net::PassStats> passes;
   double seconds = 0.0;
   /// Phase tree + counters + gauges of this run (see docs/OBSERVABILITY.md).

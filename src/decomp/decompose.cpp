@@ -218,8 +218,8 @@ net::LutNetwork decompose(std::vector<Isf> fns, const std::vector<int>& pi_vars,
   ManagerGovernorBinding bind_mgr(m, gov);
 
   const std::size_t num_outputs = fns.size();
-  decomp::Ctx c{m,  opts, gov, net::LutNetwork(static_cast<int>(pi_vars.size())),
-                {}, {},   {},  {}};
+  decomp::Ctx c{m, opts, gov, net::LutNetwork(static_cast<int>(pi_vars.size())),
+                {}, {}, {}};
   c.var_signal.assign(static_cast<std::size_t>(m.num_vars()), decomp::kNoSignal);
   c.out_level.assign(num_outputs, kDegradeFull);
   for (std::size_t i = 0; i < pi_vars.size(); ++i)
@@ -230,8 +230,10 @@ net::LutNetwork decompose(std::vector<Isf> fns, const std::vector<int>& pi_vars,
 
   const std::vector<int> sigs = decomp::synth(c, std::move(fns), ids, 0);
   for (int s : sigs) c.net.add_output(s);
-  // simplify() also sweeps any LUTs stranded by ladder-aborted attempts
-  // (outputs only attach here, so such LUTs are dead by construction).
+  // simplify() merges duplicate decomposition-function LUTs (the same bound
+  // signals and table, emitted for another output or at another step) and
+  // sweeps any LUTs stranded by ladder-aborted attempts (outputs only attach
+  // here, so such LUTs are dead by construction).
   c.net.simplify();
   c.net.collapse(opts.lut_inputs);
   c.stats.output_degrade_level = c.out_level;

@@ -19,9 +19,8 @@
 // files.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "core/budget.h"
@@ -46,18 +45,6 @@ struct Ctx {
   std::vector<int> var_signal;  // manager var -> network signal
   std::vector<int> out_level;   // primary output -> ladder level at emission
   DecomposeStats stats;
-  /// Call-scoped alpha pool: (inputs, table) of every decomposition-function
-  /// LUT emitted so far -> its signal. Reusing the signal instead of emitting
-  /// a duplicate is bit-identical to the uncached flow because simplify()
-  /// merges duplicates to the earliest signal and renumbers after DCE — the
-  /// pool just does it before the duplicate ever exists (docs/CACHING.md).
-  /// Net signals are only meaningful within one decompose call, so the pool
-  /// lives here rather than in the process-wide cache layer.
-  std::map<std::pair<std::vector<int>, std::vector<bool>>, int> alpha_pool;
-
-  /// Emits a decomposition-function LUT through the pool. Entry-capped so a
-  /// pathological flow cannot hold every table ever emitted. (emit.cpp)
-  int emit_alpha(net::Lut lut);
 
   /// Attributes the currently active ladder level to primary output `id`
   /// (called at every signal-emission site; internal ids are ignored).

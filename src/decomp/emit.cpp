@@ -4,28 +4,10 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "cache/cache.h"
 #include "decomp/driver.h"
 #include "obs/obs.h"
 
 namespace mfd::decomp {
-
-int Ctx::emit_alpha(net::Lut lut) {
-  if (!cache::config().alpha_pool)
-    return net.add_lut(std::move(lut));
-  auto key = std::make_pair(lut.inputs, lut.table);
-  if (const auto it = alpha_pool.find(key); it != alpha_pool.end()) {
-    ++stats.alpha_pool_hits;
-    obs::add("cache.alpha_pool.hits");
-    return it->second;
-  }
-  obs::add("cache.alpha_pool.misses");
-  const int sig = net.add_lut(std::move(lut));
-  constexpr std::size_t kAlphaPoolCap = 100000;
-  if (alpha_pool.size() < kAlphaPoolCap)
-    alpha_pool.emplace(std::move(key), sig);
-  return sig;
-}
 
 std::vector<int> union_of_supports(const std::vector<Isf>& fns) {
   std::vector<int> active;

@@ -155,7 +155,7 @@ Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
   // strict function keeps it strict and keeps every separation (each code
   // word flips the same bit, via code_of), so the encoding stays valid —
   // while functions that differ only in polarity become identical tables
-  // the alpha pool can merge (see the header comment).
+  // that simplify() merges (see the header comment).
   for (auto& fn : enc.functions)
     if (fn[0]) fn.flip();
   obs::add("encoding.outputs_encoded", static_cast<std::uint64_t>(m));

@@ -47,9 +47,9 @@ struct Encoding {
 /// preserves strictness and the separation its code bit provides (code words
 /// flip that bit uniformly, via code_of), so validity is untouched — but two
 /// functions that separate the same classes with opposite polarity become
-/// bit-identical tables, which is what lets the decomposition driver's alpha
-/// pool (and LutNetwork::simplify's duplicate sharing) merge "equal or
-/// complemented" decomposition functions into one LUT (docs/CACHING.md).
+/// bit-identical tables, which is what lets LutNetwork::simplify's duplicate
+/// sharing merge "equal or complemented" decomposition functions into one
+/// LUT (docs/CACHING.md).
 Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
                        bool share = true);
 

@@ -252,14 +252,14 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
 
   std::vector<int> code_vars(static_cast<std::size_t>(enc.total_functions()));
   if (static_cast<int>(bound.size()) <= k) {
-    // Every decomposition function fits one LUT. Emission goes through the
-    // alpha pool: the same (inputs, table) — possibly from another output or
-    // an earlier step over the same bound signals — reuses the existing LUT.
+    // Every decomposition function fits one LUT. A duplicate of an earlier
+    // LUT (same bound signals and table, from another output or step) is
+    // merged by the simplify() at the end of decompose().
     for (int j = 0; j < enc.total_functions(); ++j) {
       net::Lut lut;
       for (int v : bound) lut.inputs.push_back(c.signal_of(v));
       lut.table = enc.functions[static_cast<std::size_t>(j)];
-      const int sig = c.emit_alpha(std::move(lut));
+      const int sig = c.net.add_lut(std::move(lut));
       const int var = m.add_var();
       c.bind(var, sig);
       code_vars[static_cast<std::size_t>(j)] = var;

@@ -19,6 +19,8 @@ inline constexpr int kConst1 = -2;
 struct Lut {
   std::vector<int> inputs;  ///< signal ids, fanin order = truth-table bit order
   std::vector<bool> table;  ///< size 2^inputs.size(); bit j of the index is inputs[j]
+
+  bool operator==(const Lut&) const = default;
 };
 
 /// Classification of a LUT's function after structural simplification.
@@ -28,6 +30,11 @@ class LutNetwork {
  public:
   LutNetwork() = default;
   explicit LutNetwork(int num_primary_inputs);
+
+  /// Structural identity: same primary-input count, the same LUTs (inputs
+  /// and tables, dead ones included) in the same order, and the same
+  /// outputs. The determinism checks compare whole networks with this.
+  bool operator==(const LutNetwork&) const = default;
 
   int num_primary_inputs() const { return num_pi_; }
   int num_luts() const { return static_cast<int>(luts_.size()); }

@@ -14,10 +14,6 @@
 //    the network I/O-equivalent to its input *with respect to the
 //    specification ISFs in the context* — exact verification runs after the
 //    whole pipeline and a pass that breaks admissibility fails the flow.
-//  * mutates_network() says whether the pass rewrites the IR. Non-mutating
-//    passes (packing, analysis) also run when the mutated network came out
-//    of the flow-result cache; mutating passes are skipped on a hit because
-//    the cached network already includes their effect (docs/CACHING.md).
 //  * optional() passes are *droppable*: the pipeline skips them once the
 //    degradation ladder has moved off the full level or the deadline has
 //    expired — they buy quality, never correctness (docs/ROBUSTNESS.md).
@@ -89,8 +85,6 @@ class Pass {
   virtual bool run(LutNetwork& net, PassContext& ctx) = 0;
   /// Droppable by the degradation ladder (quality-only passes).
   virtual bool optional() const { return false; }
-  /// False for analysis/packing passes that never rewrite the IR.
-  virtual bool mutates_network() const { return true; }
 };
 
 /// Per-pass record of one pipeline execution.
@@ -98,7 +92,7 @@ struct PassStats {
   std::string name;
   bool ran = false;        ///< false when skipped (see `skip_reason`)
   bool changed = false;    ///< run() return value
-  std::string skip_reason; ///< "degraded" | "cached" when !ran
+  std::string skip_reason; ///< "degraded" when !ran
   int luts_before = 0;     ///< live LUTs entering the pass
   int luts_after = 0;      ///< live LUTs leaving the pass
   double seconds = 0.0;
@@ -113,22 +107,16 @@ class PassPipeline {
 
   void add(std::unique_ptr<Pass> pass);
   const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
-  /// Comma-joined pass names (the canonical spec of this pipeline; feeds
-  /// the flow-result cache fingerprint).
-  std::string spec() const;
 
   /// Called after every executed pass with the network, the pass, and its
   /// pipeline position — the `--dump-net` hook.
   using DumpHook = std::function<void(const LutNetwork&, const Pass&, int index)>;
   void set_dump_hook(DumpHook hook) { dump_ = std::move(hook); }
 
-  /// Runs every pass in order. `skip_mutating = true` replays only the
-  /// non-mutating passes (the flow-result-cache hit path: the network
-  /// already carries the mutating passes' effect). Optional passes are
-  /// skipped once ctx.governor reports degradation or an expired deadline.
-  /// Each executed pass runs under an obs phase `pass.<name>`.
-  std::vector<PassStats> run(LutNetwork& net, PassContext& ctx,
-                             bool skip_mutating = false) const;
+  /// Runs every pass in order. Optional passes are skipped once
+  /// ctx.governor reports degradation or an expired deadline. Each executed
+  /// pass runs under an obs phase `pass.<name>`.
+  std::vector<PassStats> run(LutNetwork& net, PassContext& ctx) const;
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <sstream>
+#include <utility>
 
 #include "cache/cache.h"
 #include "io/blif.h"
@@ -149,7 +150,7 @@ OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed,
 
   struct GroupRun {
     std::string point;
-    std::string network;
+    net::LutNetwork network;
   };
   std::vector<std::pair<std::string, GroupRun>> group_runs;
 
@@ -204,7 +205,7 @@ OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed,
     }
     if (!point.group.empty())
       group_runs.emplace_back(point.group,
-                              GroupRun{point.label, synth.network.to_string()});
+                              GroupRun{point.label, std::move(synth.network)});
   }
 
   // Determinism cross-check: every pair within a group must match exactly.

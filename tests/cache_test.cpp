@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.h"
@@ -200,7 +201,7 @@ TEST_F(CacheTest, TinyCapacityFlowStillBitIdentical) {
   cache::configure(cache::CacheConfig::disabled());
   Manager m2(8);
   const SynthesisResult b = Synthesizer().run(circuits::build("rd73", m2));
-  EXPECT_EQ(a.network.to_string(), b.network.to_string());
+  EXPECT_TRUE(a.network == b.network);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,32 +256,27 @@ TEST_F(CacheTest, MemoSafeRefusesBudgetedDegradedOrFaultyRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: cached vs --no-cache bit-identity, and flow-cache hits
+// Differential: cached vs --no-cache bit-identity
 // ---------------------------------------------------------------------------
 
 struct FlowOutcome {
-  std::string network;
+  net::LutNetwork network;
   int clb_greedy = 0;
   int clb_matching = 0;
   bool verified = false;
-  std::uint64_t flow_hits = 0;
 };
 
-FlowOutcome run_once(const std::string& circuit, int jobs,
-                     std::uint64_t seed = 1) {
+FlowOutcome run_once(const std::string& circuit, int jobs) {
   SynthesisOptions opts;
   opts.decomp.boundset.jobs = jobs;
-  opts.decomp.seed = seed;
   Manager m;
   const circuits::Benchmark bench = circuits::build(circuit, m);
-  const SynthesisResult r = Synthesizer(opts).run(bench);
+  SynthesisResult r = Synthesizer(opts).run(bench);
   FlowOutcome out;
-  out.network = r.network.to_string();
+  out.network = std::move(r.network);
   out.clb_greedy = r.clb_greedy.num_clbs;
   out.clb_matching = r.clb_matching.num_clbs;
   out.verified = r.verified;
-  const auto it = r.report.counters.find("cache.flow.hits");
-  out.flow_hits = it == r.report.counters.end() ? 0 : it->second;
   return out;
 }
 
@@ -293,41 +289,25 @@ TEST_F(CacheTest, CachedRunsAreBitIdenticalToUncachedAtAnyJobs) {
 
       cache::configure(cache::CacheConfig{});
       const FlowOutcome cold = run_once(circuit, jobs);
-      const FlowOutcome warm = run_once(circuit, jobs);  // flow-cache hit
+      const FlowOutcome warm = run_once(circuit, jobs);  // multiplicity hits
 
-      EXPECT_EQ(baseline.network, cold.network) << circuit << " jobs=" << jobs;
-      EXPECT_EQ(baseline.network, warm.network) << circuit << " jobs=" << jobs;
+      EXPECT_TRUE(baseline.network == cold.network) << circuit << " jobs=" << jobs;
+      EXPECT_TRUE(baseline.network == warm.network) << circuit << " jobs=" << jobs;
       EXPECT_EQ(baseline.clb_greedy, cold.clb_greedy);
       EXPECT_EQ(baseline.clb_matching, cold.clb_matching);
       EXPECT_EQ(baseline.clb_greedy, warm.clb_greedy);
       EXPECT_EQ(baseline.clb_matching, warm.clb_matching);
       EXPECT_TRUE(cold.verified);
       EXPECT_TRUE(warm.verified);
-      EXPECT_EQ(cold.flow_hits, 0u);
-      EXPECT_GE(warm.flow_hits, 1u) << circuit << " jobs=" << jobs;
     }
   }
-}
-
-TEST_F(CacheTest, FlowCacheSharesEntriesAcrossJobsCounts) {
-  // --jobs is excluded from the options fingerprint (the flow is invariant
-  // under it), so a jobs=4 run hits the entry a jobs=1 run stored.
-  (void)run_once("rd53", 1);
-  const FlowOutcome warm = run_once("rd53", 4);
-  EXPECT_GE(warm.flow_hits, 1u);
-}
-
-TEST_F(CacheTest, OptionsFingerprintSeparatesFlowEntries) {
-  (void)run_once("rd53", 1, /*seed=*/1);
-  const FlowOutcome other_seed = run_once("rd53", 1, /*seed=*/2);
-  EXPECT_EQ(other_seed.flow_hits, 0u);  // different seed, different key
 }
 
 // ---------------------------------------------------------------------------
 // Degenerate specs: constants, zero-variable managers, all-DC ISFs, and
 // duplicate outputs — the shapes the fuzz generator (src/verify/) skews
 // toward. Each must key distinctly; a collision here would silently hand one
-// spec another spec's cached decomposition.
+// spec another spec's cached bound-set scores.
 // ---------------------------------------------------------------------------
 
 TEST_F(CacheTest, SignatureSeparatesConstantsOnZeroVarManager) {
@@ -397,7 +377,8 @@ TEST_F(CacheTest, MultiplicityKeyDuplicateOutputsAndArityAreDistinct) {
 
 TEST_F(CacheTest, SignatureOfDuplicateFunctionsAgreesAcrossManagers) {
   // Duplicate outputs in a spec hash to the same signature even when built
-  // in different managers — that sharing is what the flow cache relies on.
+  // in different managers — the multiplicity cache shares entries across the
+  // per-worker managers on exactly this property.
   Manager ma(4);
   Manager mb(4);
   Rng rng(23);

@@ -3,6 +3,10 @@
 // with genuine don't cares.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "circuits/circuits.h"
 #include "core/synthesizer.h"
 #include "net/simulate.h"
@@ -242,6 +246,29 @@ TEST(Flow, DuplicateOutputsShareLogic) {
   // All three outputs must resolve to the same signal after dedup.
   EXPECT_EQ(r.network.outputs()[0], r.network.outputs()[1]);
   EXPECT_EQ(r.network.outputs()[1], r.network.outputs()[2]);
+}
+
+TEST(Flow, DecomposeLeavesNoDuplicateLiveLuts) {
+  // Without sharing, outputs re-derive the same decomposition function over
+  // the same bound signals, and clip and 5xp1 emit such duplicate LUTs. The
+  // simplify() that ends decompose() merges them, so the returned network
+  // holds at most one live LUT per (inputs, table).
+  for (const char* name : {"clip", "5xp1"}) {
+    Manager m;
+    const circuits::Benchmark bench = circuits::build(name, m);
+    std::vector<Isf> fns;
+    for (const Bdd& f : bench.outputs) fns.push_back(Isf::completely_specified(f));
+    const net::LutNetwork net =
+        decompose(fns, identity_pis(bench.num_inputs), preset_noshare_nodc(5).decomp);
+    const std::vector<bool> live = net.live_luts();
+    std::set<std::pair<std::vector<int>, std::vector<bool>>> seen;
+    for (int i = 0; i < net.num_luts(); ++i) {
+      if (!live[static_cast<std::size_t>(i)]) continue;
+      const net::Lut& lut = net.lut(i);
+      EXPECT_TRUE(seen.emplace(lut.inputs, lut.table).second)
+          << name << ": live LUT " << i << " duplicates an earlier one";
+    }
+  }
 }
 
 TEST(Flow, ComplementOutputsStayCheap) {

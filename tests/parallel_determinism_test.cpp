@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -69,16 +70,21 @@ TEST(ParallelDeterminism, SelectBoundSetIsJobsInvariant) {
   }
 }
 
-// One string capturing everything the table-1 experiment reports about a run:
-// the full network (structure, not just counts), both CLB packings, and the
-// decompose statistics. Two runs are "identical" iff these strings match.
-std::string run_fingerprint(const std::string& circuit, const SynthesisOptions& base,
-                            int jobs) {
+// Everything the table-1 experiment reports about a run: the full network
+// (structure, not just counts), and a string of both CLB packings and the
+// decompose statistics. Two runs are "identical" iff both parts match.
+struct RunFingerprint {
+  std::string counts;
+  net::LutNetwork network;
+};
+
+RunFingerprint run_fingerprint(const std::string& circuit, const SynthesisOptions& base,
+                               int jobs) {
   SynthesisOptions opts = base;
   opts.decomp.boundset.jobs = jobs;
   Manager m;
   const circuits::Benchmark bench = circuits::build(circuit, m);
-  const SynthesisResult r = Synthesizer(opts).run(bench);
+  SynthesisResult r = Synthesizer(opts).run(bench);
   EXPECT_TRUE(r.verified) << circuit << " jobs=" << jobs;
   std::ostringstream os;
   os << "luts=" << r.network.count_luts() << " gates=" << r.network.count_gates()
@@ -89,17 +95,19 @@ std::string run_fingerprint(const std::string& circuit, const SynthesisOptions& 
      << " functions=" << r.stats.total_decomposition_functions
      << " sum_r=" << r.stats.sum_r << " sym_pairs=" << r.stats.symmetrized_pairs
      << " max_depth=" << r.stats.max_depth
-     << " mux_fallbacks=" << r.stats.bdd_mux_fallbacks << "\n"
-     << r.network.to_string();
-  return os.str();
+     << " mux_fallbacks=" << r.stats.bdd_mux_fallbacks;
+  return {os.str(), std::move(r.network)};
 }
 
 void expect_flow_jobs_invariant(const std::string& circuit,
                                 const SynthesisOptions& base, const char* flow) {
-  const std::string serial = run_fingerprint(circuit, base, 1);
+  const RunFingerprint serial = run_fingerprint(circuit, base, 1);
   for (int jobs : {2, 8}) {
-    EXPECT_EQ(run_fingerprint(circuit, base, jobs), serial)
+    const RunFingerprint parallel = run_fingerprint(circuit, base, jobs);
+    EXPECT_EQ(parallel.counts, serial.counts)
         << circuit << " (" << flow << ") diverged at jobs=" << jobs;
+    EXPECT_TRUE(parallel.network == serial.network)
+        << circuit << " (" << flow << ") network diverged at jobs=" << jobs;
   }
 }
 
