@@ -15,17 +15,22 @@
 #include "core/budget.h"
 #include "isf/isf.h"
 #include "net/lutnet.h"
+#include "net/simulate.h"
 #include "obs/obs.h"
 
 namespace mfd::net {
 namespace {
 
 /// Per-sweep view of the network: global signal BDDs, liveness, fanouts.
+/// `signal` holds the BDD of every primary input and live LUT; dead LUTs
+/// stay dead for the rest of a sweep (rewrites only drop fanins), so their
+/// entries are never read.
 struct SweepState {
   std::vector<bdd::Bdd> signal;     // signal id -> BDD over pi_vars
   std::vector<bool> live;           // by LUT index
   std::vector<std::vector<int>> fanouts;  // signal id -> consumer LUT indices
   std::vector<bool> is_po;          // signal id -> drives a primary output
+  std::uint64_t rebuilds = 0;       // LUT BDDs built (pass.odc.lut_rebuilds)
 
   bdd::Bdd signal_bdd(const bdd::Manager& m, int s) const {
     if (s == kConst0) return const_cast<bdd::Manager&>(m).bdd_false();
@@ -33,18 +38,53 @@ struct SweepState {
     return signal[static_cast<std::size_t>(s)];
   }
 
+  /// Full rebuild, at the start of each sweep (simplify/collapse renumber
+  /// the LUTs between sweeps).
   void refresh(const LutNetwork& net, bdd::Manager& m,
                const std::vector<int>& pi_vars) {
-    const std::size_t num_signals =
-        static_cast<std::size_t>(net.num_primary_inputs() + net.num_luts());
-    signal.assign(num_signals, bdd::Bdd());
+    restructure(net);
+    signal.assign(fanouts.size(), bdd::Bdd());  // one slot per signal
     for (int i = 0; i < net.num_primary_inputs(); ++i)
       signal[static_cast<std::size_t>(i)] =
           m.var(pi_vars[static_cast<std::size_t>(i)]);
     for (int i = 0; i < net.num_luts(); ++i)
-      signal[static_cast<std::size_t>(net.lut_signal(i))] =
-          lut_bdd(net.lut(i), m, [&](int s) { return signal_bdd(m, s); });
+      if (live[static_cast<std::size_t>(i)]) rebuild(net, m, i);
+  }
 
+  /// Incremental update after LUT t was rewritten: rebuild t, then, in index
+  /// (= topological) order, every live LUT with a fanin whose BDD changed.
+  /// A rebuilt BDD equal to its old one (an O(1) handle compare) stops the
+  /// change from propagating further.
+  void update(const LutNetwork& net, bdd::Manager& m, int t) {
+    restructure(net);
+    std::vector<bool> changed(signal.size(), false);
+    for (int i = t; i < net.num_luts(); ++i) {
+      if (!live[static_cast<std::size_t>(i)]) continue;
+      if (i != t && std::none_of(net.lut(i).inputs.begin(),
+                                 net.lut(i).inputs.end(), [&](int s) {
+                                   return !net.is_constant(s) &&
+                                          changed[static_cast<std::size_t>(s)];
+                                 }))
+        continue;
+      changed[static_cast<std::size_t>(net.lut_signal(i))] = rebuild(net, m, i);
+    }
+  }
+
+ private:
+  /// Rebuilds LUT i's BDD from its fanins; true when the function changed.
+  bool rebuild(const LutNetwork& net, bdd::Manager& m, int i) {
+    ++rebuilds;
+    bdd::Bdd f = lut_bdd(net.lut(i), m, [&](int s) { return signal_bdd(m, s); });
+    bdd::Bdd& slot = signal[static_cast<std::size_t>(net.lut_signal(i))];
+    if (f == slot) return false;
+    slot = std::move(f);
+    return true;
+  }
+
+  /// Liveness, fanouts and PO flags: structural, no BDD work.
+  void restructure(const LutNetwork& net) {
+    const std::size_t num_signals =
+        static_cast<std::size_t>(net.num_primary_inputs() + net.num_luts());
     live = net.live_luts();
     fanouts.assign(num_signals, {});
     for (int i = 0; i < net.num_luts(); ++i) {
@@ -56,23 +96,6 @@ struct SweepState {
     is_po.assign(num_signals, false);
     for (int s : net.outputs())
       if (!net.is_constant(s)) is_po[static_cast<std::size_t>(s)] = true;
-  }
-
-  /// BDD of one LUT given a fanin-BDD lookup (sum of on-set minterms, the
-  /// same construction output_bdds uses).
-  template <typename FaninBdd>
-  static bdd::Bdd lut_bdd(const Lut& lut, bdd::Manager& m, FaninBdd fanin) {
-    bdd::Bdd f = m.bdd_false();
-    for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
-      if (!lut.table[idx]) continue;
-      bdd::Bdd minterm = m.bdd_true();
-      for (std::size_t j = 0; j < lut.inputs.size(); ++j) {
-        const bdd::Bdd in = fanin(lut.inputs[j]);
-        minterm &= ((idx >> j) & 1) ? in : !in;
-      }
-      f |= minterm;
-    }
-    return f;
   }
 };
 
@@ -143,7 +166,7 @@ bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
         }
         return st.signal_bdd(m, s);
       };
-      (value ? s1[i] : s0[i]) = SweepState::lut_bdd(lut, m, fanin);
+      (value ? s1[i] : s0[i]) = lut_bdd(lut, m, fanin);
     }
   }
 
@@ -161,28 +184,47 @@ bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
 
 /// Truth-table ISF of one LUT: care bit per fanin pattern, false when no
 /// primary-input assignment both produces the pattern (SDC) and lands in
-/// the ODC care set. Returns false when the table has no don't cares.
+/// the ODC care set. The patterns are scanned as a cofactor tree: depth j
+/// splits the producible set on fanin j into `producible & !y_j` and
+/// `producible & y_j`, and a branch whose product is false is pruned with
+/// all its patterns left don't care. The last fanin needs emptiness only,
+/// so one AND decides both leaves. Returns false when the table has no
+/// don't cares.
 bool table_isf(const LutNetwork& net, const SweepState& st, bdd::Manager& m,
                int t_idx, const bdd::Bdd& care_set, std::vector<bool>* on,
                std::vector<bool>* care) {
   const Lut& lut = net.lut(t_idx);
-  const std::size_t size = lut.table.size();
-  on->assign(size, false);
-  care->assign(size, false);
-  bool any_dc = false;
-  for (std::size_t idx = 0; idx < size; ++idx) {
-    bdd::Bdd producible = care_set;
-    for (std::size_t j = 0; j < lut.inputs.size() && !producible.is_false();
-         ++j) {
-      const bdd::Bdd in = st.signal_bdd(m, lut.inputs[j]);
-      producible &= ((idx >> j) & 1) ? in : !in;
+  const std::size_t k = lut.inputs.size();
+  on->assign(lut.table.size(), false);
+  care->assign(lut.table.size(), false);
+  std::vector<bdd::Bdd> in(k);
+  for (std::size_t j = 0; j < k; ++j) in[j] = st.signal_bdd(m, lut.inputs[j]);
+
+  std::size_t cared_patterns = 0;
+  auto mark = [&](std::size_t idx) {
+    (*care)[idx] = true;
+    (*on)[idx] = lut.table[idx];
+    ++cared_patterns;
+  };
+  // `idx` holds the values of fanins 0..j-1 in its low bits.
+  auto scan = [&](auto& self, std::size_t j, std::size_t idx,
+                  const bdd::Bdd& producible) -> void {
+    if (producible.is_false()) return;
+    if (j == k) return mark(idx);  // only for k == 0, a constant LUT
+    const std::size_t bit = std::size_t{1} << j;
+    if (j + 1 == k) {
+      // hi is a subset of producible: producible & !y_j is empty exactly
+      // when hi is all of producible.
+      const bdd::Bdd hi = producible & in[j];
+      if (hi != producible) mark(idx);
+      if (!hi.is_false()) mark(idx | bit);
+      return;
     }
-    const bool cared = !producible.is_false();
-    (*care)[idx] = cared;
-    (*on)[idx] = cared && lut.table[idx];
-    any_dc |= !cared;
-  }
-  return any_dc;
+    self(self, j + 1, idx, producible & !in[j]);
+    self(self, j + 1, idx | bit, producible & in[j]);
+  };
+  scan(scan, 0, 0, care_set);
+  return cared_patterns < lut.table.size();
 }
 
 /// Greedy compatible-fanin elimination on a truth-table ISF: drop dimension
@@ -236,18 +278,11 @@ Lut fill_extension(const Lut& old, const std::vector<bool>& on,
   }
   const std::size_t k = rem.size();
   bdd::Manager lm(static_cast<int>(k));
-  bdd::Bdd on_b = lm.bdd_false(), care_b = lm.bdd_false();
-  for (std::size_t idx = 0; idx < (std::size_t{1} << k); ++idx) {
-    if (!care[idx]) continue;
-    bdd::Bdd minterm = lm.bdd_true();
-    for (std::size_t j = 0; j < k; ++j) {
-      const bdd::Bdd v = lm.var(static_cast<int>(j));
-      minterm &= ((idx >> j) & 1) ? v : !v;
-    }
-    care_b |= minterm;
-    if (on[idx]) on_b |= minterm;
-  }
-  const bdd::Bdd ext = Isf(on_b, care_b).extension_small();
+  std::vector<bdd::Bdd> vars;
+  for (std::size_t j = 0; j < k; ++j) vars.push_back(lm.var(static_cast<int>(j)));
+  // Isf's constructor masks the on-set with the care set.
+  const bdd::Bdd ext =
+      Isf(table_bdd(on, vars, lm), table_bdd(care, vars, lm)).extension_small();
 
   std::vector<bool> table(std::size_t{1} << k);
   std::vector<bool> assignment(k, false);
@@ -305,46 +340,59 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
   GovernorBinding bind(m, ctx.governor);
 
   bool any = false;
+  SweepState st;
   try {
-    SweepState st;
     for (int iter = 0; iter < opts_.max_iters; ++iter) {
       obs::add("pass.odc.sweeps");
-      st.refresh(net, m, *ctx.pi_vars);
+      {
+        obs::ScopedPhase phase("update");
+        st.refresh(net, m, *ctx.pi_vars);
+      }
       bool changed = false;
       for (int t = 0; t < net.num_luts(); ++t) {
         if (!st.live[static_cast<std::size_t>(t)]) continue;
         if (ctx.governor != nullptr) ctx.governor->check_deadline("pass.odc");
         obs::add("pass.odc.nodes_scanned");
 
-        const Window w = build_window(net, st, t, opts_.window_depth,
-                                      opts_.max_cone_luts);
+        Window w;
+        {
+          obs::ScopedPhase phase("window");
+          w = build_window(net, st, t, opts_.window_depth, opts_.max_cone_luts);
+        }
         if (w.too_big) {
           obs::add("pass.odc.cone_skips");
           continue;
         }
-        const bdd::Bdd care_set =
-            compute_care(net, st, m, t, w, opts_.window_depth);
+        bdd::Bdd care_set;
+        {
+          obs::ScopedPhase phase("care");
+          care_set = compute_care(net, st, m, t, w, opts_.window_depth);
+        }
 
-        std::vector<bool> on, care;
-        if (!table_isf(net, st, m, t, care_set, &on, &care)) continue;
+        Lut repl;
+        {
+          obs::ScopedPhase phase("isf");
+          std::vector<bool> on, care;
+          if (!table_isf(net, st, m, t, care_set, &on, &care)) continue;
 
-        const Lut& old = net.lut(t);
-        std::vector<int> rem(old.inputs.size());
-        for (std::size_t j = 0; j < rem.size(); ++j)
-          rem[j] = static_cast<int>(j);
-        remove_compatible_inputs(&on, &care, &rem);
-        if (rem.size() == old.inputs.size()) continue;  // nothing strictly won
-
-        Lut repl = fill_extension(old, on, care, std::move(rem));
+          const Lut& old = net.lut(t);
+          std::vector<int> rem(old.inputs.size());
+          for (std::size_t j = 0; j < rem.size(); ++j)
+            rem[j] = static_cast<int>(j);
+          remove_compatible_inputs(&on, &care, &rem);
+          if (rem.size() == old.inputs.size()) continue;  // nothing strictly won
+          repl = fill_extension(old, on, care, std::move(rem));
+        }
         const int saved =
-            static_cast<int>(old.inputs.size() - repl.inputs.size());
+            static_cast<int>(net.lut(t).inputs.size() - repl.inputs.size());
         net.replace_lut(t, std::move(repl));
         obs::add("pass.odc.rewrites");
         obs::add("pass.odc.fanins_removed", static_cast<std::uint64_t>(saved));
         changed = true;
         // Downstream signal functions changed (on don't-care assignments
-        // only, but changed): refresh before judging the next node.
-        st.refresh(net, m, *ctx.pi_vars);
+        // only, but changed): update them before judging the next node.
+        obs::ScopedPhase phase("update");
+        st.update(net, m, t);
       }
       if (!changed) break;
       any = true;
@@ -357,6 +405,7 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
     // the rest of the pipeline proceed rather than re-entering the ladder.
     obs::add("pass.odc.budget_aborts");
   }
+  obs::add("pass.odc.lut_rebuilds", st.rebuilds);
   return any;
 }
 

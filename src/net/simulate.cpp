@@ -6,6 +6,25 @@
 
 namespace mfd::net {
 
+bdd::Bdd table_bdd(const std::vector<bool>& table,
+                   const std::vector<bdd::Bdd>& fanins, bdd::Manager& m) {
+  // The partial results are unreferenced edges; hold off reactive GC until
+  // the root is wrapped.
+  bdd::Manager::AutoGcPause pause(m);
+  std::vector<bdd::Edge> level(table.size());
+  for (std::size_t idx = 0; idx < table.size(); ++idx)
+    level[idx] = table[idx] ? bdd::kTrue : bdd::kFalse;
+  std::size_t width = table.size();
+  for (const bdd::Bdd& x : fanins) {
+    width /= 2;
+    for (std::size_t idx = 0; idx < width; ++idx) {
+      const bdd::Edge lo = level[2 * idx], hi = level[2 * idx + 1];
+      level[idx] = lo == hi ? lo : m.ite(x.id(), hi, lo);
+    }
+  }
+  return m.wrap(level[0]);
+}
+
 std::vector<bdd::Bdd> output_bdds(const LutNetwork& net, bdd::Manager& m,
                                   const std::vector<int>& pi_vars) {
   std::vector<bdd::Bdd> signal(static_cast<std::size_t>(net.num_primary_inputs() + net.num_luts()));
@@ -18,20 +37,9 @@ std::vector<bdd::Bdd> output_bdds(const LutNetwork& net, bdd::Manager& m,
     return signal[static_cast<std::size_t>(s)];
   };
 
-  for (int i = 0; i < net.num_luts(); ++i) {
-    const Lut& lut = net.lut(i);
-    bdd::Bdd f = m.bdd_false();
-    for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
-      if (!lut.table[idx]) continue;
-      bdd::Bdd minterm = m.bdd_true();
-      for (std::size_t j = 0; j < lut.inputs.size(); ++j) {
-        const bdd::Bdd in = signal_bdd(lut.inputs[j]);
-        minterm &= ((idx >> j) & 1) ? in : !in;
-      }
-      f |= minterm;
-    }
-    signal[static_cast<std::size_t>(net.lut_signal(i))] = f;
-  }
+  for (int i = 0; i < net.num_luts(); ++i)
+    signal[static_cast<std::size_t>(net.lut_signal(i))] =
+        lut_bdd(net.lut(i), m, signal_bdd);
 
   std::vector<bdd::Bdd> result;
   result.reserve(net.outputs().size());

@@ -16,6 +16,25 @@
 
 namespace mfd::net {
 
+/// BDD of a truth table over the given fanin functions: `table` has
+/// 2^fanins.size() bits, bit j of an index selecting fanins[j]'s value (the
+/// Lut convention). The table is folded as a mux tree, fanin 0 first: each
+/// level pairs adjacent entries into ite(fanin_j, hi, lo) and skips the ite
+/// when both halves are equal, so a k-input table costs at most 2^k - 1 ite
+/// calls. This is the one table-to-BDD construction of the net layer.
+bdd::Bdd table_bdd(const std::vector<bool>& table,
+                   const std::vector<bdd::Bdd>& fanins, bdd::Manager& m);
+
+/// BDD of one LUT given a fanin lookup: `fanin(signal)` returns the BDD of
+/// each input signal (constants included).
+template <typename FaninBdd>
+bdd::Bdd lut_bdd(const Lut& lut, bdd::Manager& m, FaninBdd fanin) {
+  std::vector<bdd::Bdd> in;
+  in.reserve(lut.inputs.size());
+  for (int s : lut.inputs) in.push_back(fanin(s));
+  return table_bdd(lut.table, in, m);
+}
+
 /// BDD of every primary output of `net`. `pi_vars[i]` is the manager
 /// variable standing for primary input i.
 std::vector<bdd::Bdd> output_bdds(const LutNetwork& net, bdd::Manager& m,

@@ -2,6 +2,8 @@
 // structural baseline generators (conditional-sum adder, Wallace tree).
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "circuits/circuits.h"
 #include "core/budget.h"
 #include "core/errors.h"
@@ -13,6 +15,7 @@
 #include "net/odc_resubst.h"
 #include "net/passmgr.h"
 #include "net/simulate.h"
+#include "obs/obs.h"
 #include "testlib.h"
 #include "util/rng.h"
 
@@ -287,6 +290,57 @@ TEST(Simulate, OutputBddsMatchEvaluation) {
   for (std::uint32_t v = 0; v < 16; ++v) {
     for (int i = 0; i < 4; ++i) pis[static_cast<std::size_t>(i)] = assignment[static_cast<std::size_t>(i)] = (v >> i) & 1;
     EXPECT_EQ(net.evaluate(pis)[0], m.eval(outs[0].id(), assignment));
+  }
+}
+
+/// Reference LUT construction: the sum of on-set minterms, each minterm the
+/// conjunction of the fanin literals its index selects.
+bdd::Bdd minterm_sum(const Lut& lut, bdd::Manager& m,
+                     const std::vector<bdd::Bdd>& pool) {
+  bdd::Bdd f = m.bdd_false();
+  for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
+    if (!lut.table[idx]) continue;
+    bdd::Bdd minterm = m.bdd_true();
+    for (std::size_t j = 0; j < lut.inputs.size(); ++j) {
+      const bdd::Bdd& in = pool[static_cast<std::size_t>(lut.inputs[j])];
+      minterm &= ((idx >> j) & 1) ? in : !in;
+    }
+    f |= minterm;
+  }
+  return f;
+}
+
+TEST(Simulate, LutBddMatchesMintermSumReference) {
+  // The mux-tree kernel against the minterm-sum reference for k = 0..6, on
+  // fanins that are random functions, constants, a variable and its
+  // complement, and a random function and its complement. Inputs are drawn
+  // with replacement, so repeated signals occur; one trial per k feeds the
+  // same signal to every input.
+  Rng rng(4242);
+  constexpr int kVars = 7;
+  bdd::Manager m(kVars);
+  std::vector<bdd::Bdd> pool;
+  for (int r = 0; r < 6; ++r)
+    pool.push_back(test::bdd_from_table(m, test::random_table(rng, kVars), kVars));
+  pool.push_back(m.bdd_false());
+  pool.push_back(m.bdd_true());
+  pool.push_back(m.var(3));
+  pool.push_back(!m.var(3));
+  pool.push_back(!pool[0]);
+  auto fanin = [&](int s) { return pool[static_cast<std::size_t>(s)]; };
+
+  for (int k = 0; k <= 6; ++k) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Lut lut;
+      const bool repeated = trial == 0;
+      const int same = static_cast<int>(rng.below(pool.size()));
+      for (int j = 0; j < k; ++j)
+        lut.inputs.push_back(repeated ? same
+                                      : static_cast<int>(rng.below(pool.size())));
+      lut.table = test::random_table(rng, k);
+      EXPECT_EQ(lut_bdd(lut, m, fanin), minterm_sum(lut, m, pool))
+          << "k=" << k << " trial " << trial;
+    }
   }
 }
 
@@ -614,6 +668,58 @@ TEST(OdcResubst, PreservesNetworkOutputsExactly) {
   }
 }
 
+TEST(OdcResubst, PreservesOutputsOnDeepParityChains) {
+  // Parity LUTs have no don't cares of their own, so a rewrite's changed
+  // function travels through them two levels into the window without
+  // triggering a rewrite that would rebuild them anyway. If the update after
+  // a rewrite left any of those BDDs stale, later LUTs would be judged on
+  // the wrong functions and the outputs would change.
+  Rng rng(2025);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = rng.range(4, 7);
+    LutNetwork net(n);
+    std::vector<int> signals;
+    for (int i = 0; i < n; ++i) signals.push_back(i);
+    for (int g = 0; g < 30; ++g) {
+      Lut lut;
+      const int k = rng.range(2, 3);
+      for (int j = 0; j < k; ++j) {
+        // Mostly one of the six newest signals: deep chains.
+        const std::size_t lo = signals.size() > 6 ? signals.size() - 6 : 0;
+        const std::size_t pick = rng.below(3) != 0
+                                     ? lo + rng.below(signals.size() - lo)
+                                     : rng.below(signals.size());
+        lut.inputs.push_back(signals[pick]);
+      }
+      lut.table.resize(std::size_t{1} << k);
+      const std::uint64_t kind = rng.below(4);  // random, XOR, XNOR, AND
+      for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
+        const bool parity = std::popcount(idx) & 1;
+        lut.table[idx] = kind == 0   ? rng.flip()
+                         : kind == 1 ? parity
+                         : kind == 2 ? !parity
+                                     : idx + 1 == lut.table.size();
+      }
+      signals.push_back(net.add_lut(std::move(lut)));
+    }
+    for (int o = 0; o < 3; ++o)
+      net.add_output(signals[signals.size() - 1 - rng.below(8)]);
+    const auto before_rows = exhaustive(net, n);
+
+    bdd::Manager m(n);
+    std::vector<int> pis(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) pis[static_cast<std::size_t>(i)] = i;
+    OdcOptions odc;
+    odc.lut_inputs = 4;
+    OdcResubstPass pass(odc);
+    PassContext ctx;
+    ctx.manager = &m;
+    ctx.pi_vars = &pis;
+    pass.run(net, ctx);
+    EXPECT_EQ(exhaustive(net, n), before_rows) << "trial " << trial;
+  }
+}
+
 TEST(OdcResubst, RemovesLogicMaskedByItsFanout) {
   // g = (x0 & x1) | x0 absorbs to x0: under x0 = 0 the AND's output is the
   // constant 0 and under x0 = 1 it is unobservable, so its care set forces
@@ -635,6 +741,36 @@ TEST(OdcResubst, RemovesLogicMaskedByItsFanout) {
   EXPECT_EQ(net.outputs()[0], 0);  // the wire x0
   EXPECT_EQ(net.evaluate({true, false}), (std::vector<bool>{true}));
   EXPECT_EQ(net.evaluate({false, true}), (std::vector<bool>{false}));
+}
+
+TEST(OdcResubst, UpdateStopsWhereTheGlobalFunctionIsUnchanged) {
+  // t = AND(x0, x0) has the unproducible patterns 01 and 10; the rewrite
+  // drops the duplicate fanin and leaves t = x0, the same global function,
+  // so the update rebuilds t alone and none of the five XORs above it.
+  // Sweep 1: 6 (refresh) + 1 (update); sweep 2, after simplify absorbed the
+  // buffer: 5 (refresh), no rewrite. A full rebuild after every rewrite
+  // would have cost 6 + 6 + 5.
+  LutNetwork net(6);
+  int g = net.add_lut(and2(0, 0));
+  for (int i = 1; i < 6; ++i) g = net.add_lut(xor2(g, i));
+  net.add_output(g);
+
+  bdd::Manager m(6);
+  std::vector<int> pis{0, 1, 2, 3, 4, 5};
+  OdcOptions odc;
+  odc.lut_inputs = 2;  // keeps collapse from merging the XOR chain
+  OdcResubstPass pass(odc);
+  PassContext ctx;
+  ctx.manager = &m;
+  ctx.pi_vars = &pis;
+  obs::reset();
+  EXPECT_TRUE(pass.run(net, ctx));
+  const obs::Report report = obs::collect();
+  EXPECT_EQ(report.counters.at("pass.odc.rewrites"), 1u);
+  EXPECT_EQ(report.counters.at("pass.odc.lut_rebuilds"), 12u);
+  for (const char* phase : {"update", "window", "care", "isf"})
+    EXPECT_NE(report.phases.find(phase), nullptr) << phase;
+  EXPECT_EQ(net.count_luts(), 5);
 }
 
 TEST(OdcResubst, IsANoOpWithoutAManager) {
