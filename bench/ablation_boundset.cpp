@@ -11,8 +11,6 @@
 
 namespace {
 
-using mfd::bench::run_flow;
-
 const std::vector<std::string> kCircuits{"5xp1", "rd84", "9sym", "clip",
                                          "z4ml", "alu2", "misex1", "sao2"};
 
@@ -30,30 +28,24 @@ const Config kConfigs[] = {
     {"first", false, 0, 1},
 };
 
-std::map<std::string, std::map<std::string, int>> g_rows;
+using Table = std::map<std::string, std::map<std::string, int>>;  // circuit -> label -> clbs
 
-void run_circuit(benchmark::State& state, const std::string& name) {
-  for (auto _ : state) {
-    for (const Config& cfg : kConfigs) {
-      mfd::SynthesisOptions opts = mfd::preset_mulop_dc(5);
-      opts.decomp.symmetric_sift = cfg.sift;
-      opts.decomp.boundset.improvement_passes = cfg.improvement_passes;
-      opts.decomp.boundset.max_evaluations = cfg.max_evaluations;
-      const auto row = run_flow(name, opts, cfg.label);
-      g_rows[name][cfg.label] = row.clb_greedy;
-      state.counters[cfg.label] = row.clb_greedy;
-    }
-  }
+mfd::SynthesisOptions config_options(const Config& cfg) {
+  mfd::SynthesisOptions opts = mfd::preset_mulop_dc(5);
+  opts.decomp.symmetric_sift = cfg.sift;
+  opts.decomp.boundset.improvement_passes = cfg.improvement_passes;
+  opts.decomp.boundset.max_evaluations = cfg.max_evaluations;
+  return opts;
 }
 
-void print_table() {
+void print_table(const Table& rows) {
   std::printf("\nAblation C: bound-set search (CLB counts, n_LUT = 5).\n\n");
   std::printf("%-8s |", "circuit");
   for (const Config& cfg : kConfigs) std::printf(" %8s", cfg.label);
   std::printf("\n");
   mfd::bench::print_rule(48);
   std::map<std::string, long> totals;
-  for (const auto& [name, cols] : g_rows) {
+  for (const auto& [name, cols] : rows) {
     std::printf("%-8s |", name.c_str());
     for (const Config& cfg : kConfigs) {
       std::printf(" %8d", cols.at(cfg.label));
@@ -70,15 +62,15 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  mfd::bench::parse_flags(&argc, argv);
+  std::vector<mfd::bench::SweepRow> sweep;
   for (const std::string& name : kCircuits)
-    benchmark::RegisterBenchmark(("ablationC/" + name).c_str(),
-                                 [name](benchmark::State& s) { run_circuit(s, name); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
+    for (const Config& cfg : kConfigs) sweep.push_back({name, config_options(cfg), cfg.label});
+  const std::vector<mfd::bench::FlowRun> runs = mfd::bench::run_sweep(sweep);
+  Table rows;
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    rows[sweep[i].circuit][sweep[i].flow] = runs[i].clb_greedy;
+  print_table(rows);
   mfd::bench::write_stats_json();
   return 0;
 }

@@ -11,8 +11,6 @@
 
 namespace {
 
-using mfd::bench::run_flow;
-
 const std::vector<std::string> kCircuits{"5xp1", "rd84", "alu2", "clip",
                                          "misex1", "z4ml", "sao2", "f51m"};
 
@@ -30,7 +28,7 @@ const Config kConfigs[] = {
     {"all", true, true, true},
 };
 
-std::map<std::string, std::map<std::string, int>> g_rows;  // circuit -> label -> clbs
+using Table = std::map<std::string, std::map<std::string, int>>;  // circuit -> label -> clbs
 
 mfd::SynthesisOptions config_options(const Config& cfg) {
   mfd::SynthesisOptions opts = mfd::preset_mulop_dc(5);
@@ -40,17 +38,7 @@ mfd::SynthesisOptions config_options(const Config& cfg) {
   return opts;
 }
 
-void run_circuit(benchmark::State& state, const std::string& name) {
-  for (auto _ : state) {
-    for (const Config& cfg : kConfigs) {
-      const auto row = run_flow(name, config_options(cfg), cfg.label);
-      g_rows[name][cfg.label] = row.clb_greedy;
-      state.counters[cfg.label] = row.clb_greedy;
-    }
-  }
-}
-
-void print_table() {
+void print_table(const Table& rows) {
   std::printf("\nAblation A: CLB counts with individual DC-assignment steps\n");
   std::printf("(s1 = symmetrization, s2 = joint/sharing, s3 = per-output).\n");
   std::printf("'none' still *propagates* DCs but never assigns them.\n\n");
@@ -59,7 +47,7 @@ void print_table() {
   std::printf("\n");
   mfd::bench::print_rule(56);
   std::map<std::string, long> totals;
-  for (const auto& [name, cols] : g_rows) {
+  for (const auto& [name, cols] : rows) {
     std::printf("%-8s |", name.c_str());
     for (const Config& cfg : kConfigs) {
       std::printf(" %6d", cols.at(cfg.label));
@@ -77,15 +65,15 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  mfd::bench::parse_flags(&argc, argv);
+  std::vector<mfd::bench::SweepRow> sweep;
   for (const std::string& name : kCircuits)
-    benchmark::RegisterBenchmark(("ablationA/" + name).c_str(),
-                                 [name](benchmark::State& s) { run_circuit(s, name); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
+    for (const Config& cfg : kConfigs) sweep.push_back({name, config_options(cfg), cfg.label});
+  const std::vector<mfd::bench::FlowRun> runs = mfd::bench::run_sweep(sweep);
+  Table rows;
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    rows[sweep[i].circuit][sweep[i].flow] = runs[i].clb_greedy;
+  print_table(rows);
   mfd::bench::write_stats_json();
   return 0;
 }

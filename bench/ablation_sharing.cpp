@@ -8,27 +8,11 @@
 namespace {
 
 using mfd::bench::FlowRun;
-using mfd::bench::run_flow;
 
 const std::vector<std::string> kCircuits{"5xp1", "rd73", "rd84", "z4ml",
                                          "alu2", "count", "misex1", "f51m"};
 
-std::map<std::string, std::pair<FlowRun, FlowRun>> g_rows;
-
-void run_circuit(benchmark::State& state, const std::string& name) {
-  for (auto _ : state) {
-    mfd::SynthesisOptions share = mfd::preset_mulop_dc(5);
-    mfd::SynthesisOptions noshare = share;
-    noshare.decomp.share_functions = false;
-    const FlowRun with = run_flow(name, share, "share");
-    const FlowRun without = run_flow(name, noshare, "noshare");
-    g_rows[name] = {with, without};
-    state.counters["clb_share"] = with.clb_greedy;
-    state.counters["clb_noshare"] = without.clb_greedy;
-  }
-}
-
-void print_table() {
+void print_table(const std::map<std::string, std::pair<FlowRun, FlowRun>>& rows) {
   std::printf("\nAblation B: shared vs per-output decomposition functions.\n");
   std::printf("'alpha' = decomposition functions emitted; 'saved' = sum r_i - alpha\n");
   std::printf("(what the common-function computation shares).\n\n");
@@ -36,8 +20,8 @@ void print_table() {
                "ratio", "alpha", "saved", "sum_r");
   mfd::bench::print_rule(60);
   long tot_s = 0, tot_n = 0;
-  for (const auto& [name, rows] : g_rows) {
-    const auto& [with, without] = rows;
+  for (const auto& [name, pair] : rows) {
+    const auto& [with, without] = pair;
     tot_s += with.clb_greedy;
     tot_n += without.clb_greedy;
     std::printf("%-8s | %5d %5d %4.0f%% | %5ld %5ld | %6ld\n", name.c_str(),
@@ -56,15 +40,20 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (const std::string& name : kCircuits)
-    benchmark::RegisterBenchmark(("ablationB/" + name).c_str(),
-                                 [name](benchmark::State& s) { run_circuit(s, name); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
+  mfd::bench::parse_flags(&argc, argv);
+  mfd::SynthesisOptions share = mfd::preset_mulop_dc(5);
+  mfd::SynthesisOptions noshare = share;
+  noshare.decomp.share_functions = false;
+  std::vector<mfd::bench::SweepRow> sweep;
+  for (const std::string& name : kCircuits) {
+    sweep.push_back({name, share, "share"});
+    sweep.push_back({name, noshare, "noshare"});
+  }
+  const std::vector<FlowRun> runs = mfd::bench::run_sweep(sweep);
+  std::map<std::string, std::pair<FlowRun, FlowRun>> rows;
+  for (std::size_t i = 0; i < runs.size(); i += 2)
+    rows[sweep[i].circuit] = {runs[i], runs[i + 1]};
+  print_table(rows);
   mfd::bench::write_stats_json();
   return 0;
 }

@@ -13,34 +13,19 @@
 namespace {
 
 using mfd::bench::FlowRun;
-using mfd::bench::run_flow;
 
 const std::vector<std::string> kCircuits{"5xp1", "rd73", "rd84", "z4ml",
                                          "alu2", "clip", "misex1", "count"};
 
-std::map<std::string, std::pair<FlowRun, FlowRun>> g_rows;
-
-void run_circuit(benchmark::State& state, const std::string& name) {
-  for (auto _ : state) {
-    const FlowRun ours = run_flow(name, mfd::preset_mulop_dc(5), "mulop-dc");
-    mfd::SynthesisOptions total = mfd::preset_mulop_dc(5);
-    total.decomp.total_minimal_code = true;
-    const FlowRun theirs = run_flow(name, total, "total-code");
-    g_rows[name] = {ours, theirs};
-    state.counters["clb_per_output_minimal"] = ours.clb_greedy;
-    state.counters["clb_total_minimal"] = theirs.clb_greedy;
-  }
-}
-
-void print_table() {
+void print_table(const std::map<std::string, std::pair<FlowRun, FlowRun>>& rows) {
   std::printf("\nAblation D: per-output-minimal codes (this paper) vs the\n");
   std::printf("total-minimal joint code of [10], identical flow otherwise.\n\n");
   std::printf("%-8s | %10s %7s | %10s %7s\n", "circuit", "per-output", "alpha",
                "total-min", "alpha");
   mfd::bench::print_rule(52);
   long t_ours = 0, t_theirs = 0;
-  for (const auto& [name, rows] : g_rows) {
-    const auto& [ours, theirs] = rows;
+  for (const auto& [name, pair] : rows) {
+    const auto& [ours, theirs] = pair;
     t_ours += ours.clb_greedy;
     t_theirs += theirs.clb_greedy;
     std::printf("%-8s | %10d %7ld | %10d %7ld\n", name.c_str(), ours.clb_greedy,
@@ -56,15 +41,19 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (const std::string& name : kCircuits)
-    benchmark::RegisterBenchmark(("ablationD/" + name).c_str(),
-                                 [name](benchmark::State& s) { run_circuit(s, name); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
+  mfd::bench::parse_flags(&argc, argv);
+  mfd::SynthesisOptions total = mfd::preset_mulop_dc(5);
+  total.decomp.total_minimal_code = true;
+  std::vector<mfd::bench::SweepRow> sweep;
+  for (const std::string& name : kCircuits) {
+    sweep.push_back({name, mfd::preset_mulop_dc(5), "mulop-dc"});
+    sweep.push_back({name, total, "total-code"});
+  }
+  const std::vector<FlowRun> runs = mfd::bench::run_sweep(sweep);
+  std::map<std::string, std::pair<FlowRun, FlowRun>> rows;
+  for (std::size_t i = 0; i < runs.size(); i += 2)
+    rows[sweep[i].circuit] = {runs[i], runs[i + 1]};
+  print_table(rows);
   mfd::bench::write_stats_json();
   return 0;
 }

@@ -118,7 +118,7 @@ void BM_SatCount(benchmark::State& state) {
 BENCHMARK(BM_SatCount);
 
 // Deterministic one-shot profile of the BDD core itself, recorded as a
-// --stats-json row (run_flow rows cover whole synthesis flows; this row
+// --stats-json row (sweep rows cover whole synthesis flows; this row
 // isolates the substrate so CI artifacts carry its peak-node and
 // cache-hit-rate trend). Negation-heavy on purpose: XNOR chains, De Morgan
 // duals of previously built conjunctions, and complemented parity are the
@@ -157,7 +157,7 @@ void record_bdd_profile() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  mfd::bench::init_stats(&argc, argv);
+  mfd::bench::parse_flags(&argc, argv, "--benchmark_");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -1,13 +1,15 @@
 // Shared helpers for the experiment harness binaries (one per paper
-// table/figure, see DESIGN.md's per-experiment index).
+// table/figure, see DESIGN.md's per-experiment index). Each binary is a
+// plain main: parse_flags(), build its row list, run_sweep() it, print the
+// table, write_stats_json().
 //
 // Every binary supports `--stats-json <path>` (or `--stats-json=<path>`):
-// each run_flow() call is recorded with its full observability report and
-// the collected records are written as one JSON document at exit. Call
-// init_stats() before benchmark::Initialize (it strips the flag from argv)
-// and write_stats_json() before returning from main.
+// each sweep row is recorded with its full observability report and the
+// collected records are written as one JSON document at exit. Any other
+// argument, or a value flag without its value, exits with status 2 and a
+// usage line before anything runs.
 //
-// Robustness flags (also stripped by init_stats, applied by run_flow):
+// Robustness flags (applied to every sweep row):
 //   --time-budget-ms <n>   wall-clock budget per synthesis run
 //   --node-budget <n>      BDD node ceiling per synthesis run
 //   --fault-inject <spec>  fault-injection rules (see core/faultinject.h)
@@ -43,15 +45,11 @@
 //   --sweep-rss-mb <n>     defer spawns while the children's summed RSS
 //                          exceeds this many MiB (0 = no cap)
 //   --list-fault-sites     print the fault-injection sites/kinds and exit
-//   --repro <file>         replay a fuzz reproducer (docs/FUZZING.md) and
-//                          exit 0 iff its failure no longer reproduces
 // Budget overruns do not crash: the flow degrades (see docs/ROBUSTNESS.md)
 // and the --stats-json record carries the DegradationReport. With
 // --stats-json the document is also recommitted (temp + rename) after every
 // run, so a mid-sweep crash keeps all completed records.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
@@ -71,7 +69,6 @@
 #include "obs/json.h"
 #include "super/jsonv.h"
 #include "super/supervisor.h"
-#include "verify/repro.h"
 
 namespace mfd::bench {
 
@@ -96,6 +93,13 @@ struct FlowRun {
   std::string error;
   std::vector<net::PassStats> passes;  ///< pipeline trail of this run
   obs::Report report;  ///< phase tree + counters + gauges of this run
+};
+
+/// One sweep row: a circuit from circuits::build, run through one flow.
+struct SweepRow {
+  std::string circuit;
+  SynthesisOptions options;
+  std::string flow;  ///< preset label, recorded as FlowRun::flow
 };
 
 /// FNV-1a over the whole network structure — the primary-input count, every
@@ -145,6 +149,7 @@ struct StatsSink {
   double watchdog_ms = 0.0;   // from --watchdog-ms (0 = default 300000)
   long sweep_jobs = 1;        // from --sweep-jobs (concurrent row children)
   long sweep_rss_mb = 0;      // from --sweep-rss-mb (0 = no admission cap)
+  bool list_fault_sites = false;  // from --list-fault-sites
 };
 
 inline StatsSink& sink() {
@@ -228,138 +233,145 @@ inline long parse_flag_count(const char* flag, const char* value) {
   return v;
 }
 
+/// A harness flag; `arg` names the value of a value flag, nullptr for a
+/// switch.
+struct Flag {
+  const char* name;
+  const char* arg;
+};
+
+inline constexpr Flag kFlags[] = {
+    {"--stats-json", "<path>"},   {"--time-budget-ms", "<n>"}, {"--node-budget", "<n>"},
+    {"--fault-inject", "<spec>"}, {"--jobs", "<n>"},           {"--cache-mb", "<n>"},
+    {"--no-cache", nullptr},      {"--passes", "<spec>"},      {"--no-odc", nullptr},
+    {"--dump-net", "<path>"},     {"--supervise", nullptr},    {"--journal", "<path>"},
+    {"--resume", nullptr},        {"--max-retries", "<n>"},    {"--watchdog-ms", "<n>"},
+    {"--sweep-jobs", "<n>"},      {"--sweep-rss-mb", "<n>"},   {"--list-fault-sites", nullptr},
+};
+
+/// Names the offending argument, prints the usage line and exits 2.
+[[noreturn]] inline void usage_error(const std::string& what) {
+  const char* bin = sink().binary.c_str();
+  std::fprintf(stderr, "%s: %s\nusage: %s", bin, what.c_str(), bin);
+  for (const Flag& f : kFlags) {
+    if (f.arg != nullptr)
+      std::fprintf(stderr, " [%s %s]", f.name, f.arg);
+    else
+      std::fprintf(stderr, " [%s]", f.name);
+  }
+  std::fputc('\n', stderr);
+  std::exit(2);
+}
+
+inline void print_fault_sites() {
+  std::printf("instrumented fault sites (arm with --fault-inject "
+              "'site@k[:kind]', see docs/ROBUSTNESS.md):\n");
+  for (const std::string& site : fault::registered_sites())
+    std::printf("  %s\n", site.c_str());
+  std::printf("kinds:");
+  bool first = true;
+  for (const std::string& kind : fault::kind_names()) {
+    std::printf("%s %s%s", first ? "" : ",", kind.c_str(), first ? " (default)" : "");
+    first = false;
+  }
+  std::printf("\n");
+}
+
+/// Stores one flag's value in the sink (`value` is nullptr for a switch).
+inline void apply_flag(const std::string& flag, const char* value) {
+  StatsSink& s = sink();
+  const char* f = flag.c_str();
+  if (flag == "--stats-json") {
+    s.path = value;
+  } else if (flag == "--time-budget-ms") {
+    s.budget.time_ms = static_cast<double>(parse_flag_count(f, value));
+  } else if (flag == "--node-budget") {
+    s.budget.node_ceiling = static_cast<std::size_t>(parse_flag_count(f, value));
+  } else if (flag == "--jobs") {
+    s.jobs = std::max(1, static_cast<int>(parse_flag_count(f, value)));
+  } else if (flag == "--cache-mb") {
+    s.cache_mb = parse_flag_count(f, value);
+  } else if (flag == "--no-cache") {
+    s.no_cache = true;
+  } else if (flag == "--passes") {
+    s.passes = value;
+  } else if (flag == "--no-odc") {
+    s.no_odc = true;
+  } else if (flag == "--dump-net") {
+    s.dump_net = value;
+  } else if (flag == "--supervise") {
+    s.supervise = true;
+  } else if (flag == "--journal") {
+    s.journal = value;
+  } else if (flag == "--resume") {  // needs a journal
+    s.supervise = true;
+    s.resume = true;
+  } else if (flag == "--max-retries") {
+    s.max_retries = parse_flag_count(f, value);
+  } else if (flag == "--watchdog-ms") {
+    s.watchdog_ms = static_cast<double>(parse_flag_count(f, value));
+  } else if (flag == "--sweep-jobs") {
+    s.sweep_jobs = std::max(1L, parse_flag_count(f, value));
+  } else if (flag == "--sweep-rss-mb") {
+    s.sweep_rss_mb = parse_flag_count(f, value);
+  } else if (flag == "--list-fault-sites") {
+    s.list_fault_sites = true;
+  } else {  // --fault-inject
+    try {
+      fault::configure(value);
+    } catch (const ParseError& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
+  }
+}
+
 }  // namespace detail
 
-/// Strips the harness flags from argv (so they never reach
-/// benchmark::Initialize) and remembers their values:
-///   --stats-json <path>      record runs, write one JSON document at exit
-///   --time-budget-ms <n>     per-run wall-clock budget (0 = unlimited)
-///   --node-budget <n>        per-run BDD node ceiling (0 = unlimited)
-///   --fault-inject <spec>    arm fault-injection rules (core/faultinject.h)
-///   --jobs <n>               bound-set evaluation threads (default 1)
-///   --cache-mb <n>           multiplicity cache byte budget in MiB
-///   --no-cache               disable all memoization (docs/CACHING.md)
-/// All flags also accept the --flag=value spelling. A malformed fault spec
-/// or count exits with status 2 rather than running unprotected.
-inline void init_stats(int* argc, char** argv) {
+/// Parses the harness flags (the table in the header comment) and remembers
+/// their values. Value flags also accept the --flag=value spelling. An
+/// unknown argument, a value flag without its value, a malformed count or a
+/// malformed fault spec exits with status 2 before anything runs: a typo
+/// must not silently run the default configuration. Arguments starting with
+/// `pass_through` (bench_bdd passes "--benchmark_") are left in argv, in
+/// order, for the caller's own parser.
+inline void parse_flags(int* argc, char** argv, const char* pass_through = nullptr) {
   detail::StatsSink& s = detail::sink();
   if (*argc > 0) {
     const char* slash = std::strrchr(argv[0], '/');
     s.binary = slash != nullptr ? slash + 1 : argv[0];
   }
-  auto apply = [&s](const char* flag, const char* value) {
-    if (std::strcmp(flag, "--stats-json") == 0) {
-      s.path = value;
-    } else if (std::strcmp(flag, "--time-budget-ms") == 0) {
-      s.budget.time_ms = static_cast<double>(detail::parse_flag_count(flag, value));
-    } else if (std::strcmp(flag, "--node-budget") == 0) {
-      s.budget.node_ceiling =
-          static_cast<std::size_t>(detail::parse_flag_count(flag, value));
-    } else if (std::strcmp(flag, "--jobs") == 0) {
-      s.jobs = std::max(1, static_cast<int>(detail::parse_flag_count(flag, value)));
-    } else if (std::strcmp(flag, "--cache-mb") == 0) {
-      s.cache_mb = detail::parse_flag_count(flag, value);
-    } else if (std::strcmp(flag, "--passes") == 0) {
-      s.passes = value;
-    } else if (std::strcmp(flag, "--dump-net") == 0) {
-      s.dump_net = value;
-    } else if (std::strcmp(flag, "--journal") == 0) {
-      s.journal = value;
-    } else if (std::strcmp(flag, "--max-retries") == 0) {
-      s.max_retries = detail::parse_flag_count(flag, value);
-    } else if (std::strcmp(flag, "--watchdog-ms") == 0) {
-      s.watchdog_ms = static_cast<double>(detail::parse_flag_count(flag, value));
-    } else if (std::strcmp(flag, "--sweep-jobs") == 0) {
-      s.sweep_jobs = std::max(1L, detail::parse_flag_count(flag, value));
-    } else if (std::strcmp(flag, "--sweep-rss-mb") == 0) {
-      s.sweep_rss_mb = detail::parse_flag_count(flag, value);
-    } else {  // --fault-inject
-      try {
-        fault::configure(value);
-      } catch (const ParseError& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-      }
-    }
-  };
-  static constexpr const char* kFlags[] = {"--stats-json", "--time-budget-ms",
-                                           "--node-budget", "--fault-inject",
-                                           "--jobs", "--cache-mb",
-                                           "--passes", "--dump-net",
-                                           "--journal", "--max-retries",
-                                           "--watchdog-ms", "--sweep-jobs",
-                                           "--sweep-rss-mb"};
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    bool consumed = false;
-    if (std::strcmp(arg, "--no-cache") == 0) {  // valueless flag
-      s.no_cache = true;
+    const std::string arg = argv[i];
+    if (pass_through != nullptr && arg.rfind(pass_through, 0) == 0) {
+      argv[out++] = argv[i];
       continue;
     }
-    if (std::strcmp(arg, "--no-odc") == 0) {  // valueless flag
-      s.no_odc = true;
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const auto* flag = std::find_if(std::begin(detail::kFlags), std::end(detail::kFlags),
+                                    [&name](const detail::Flag& f) { return name == f.name; });
+    if (flag == std::end(detail::kFlags)) detail::usage_error("unknown flag '" + arg + "'");
+    if (flag->arg == nullptr) {
+      if (eq != std::string::npos) detail::usage_error(name + " takes no value");
+      detail::apply_flag(name, nullptr);
       continue;
     }
-    if (std::strcmp(arg, "--supervise") == 0) {  // valueless flag
-      s.supervise = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--resume") == 0) {  // valueless flag; needs a journal
-      s.supervise = true;
-      s.resume = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--repro") == 0 && i + 1 < *argc) {
-      // Replay a fuzz reproducer (docs/FUZZING.md) instead of benchmarking:
-      // exit 0 iff the recorded failure no longer reproduces.
-      const char* path = argv[i + 1];
-      try {
-        const verify::OracleResult r = verify::replay_repro_file(path);
-        if (r.ok) {
-          std::printf("repro %s: PASS (%d points, %d checks)\n", path,
-                      r.points_run, r.checks_run);
-          std::exit(0);
-        }
-        std::printf("repro %s: FAIL at %s: %s\n", path, r.failing_point.c_str(),
-                    r.failure.c_str());
-        std::exit(1);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--repro: %s\n", e.what());
-        std::exit(2);
-      }
-    }
-    if (std::strcmp(arg, "--list-fault-sites") == 0) {
-      std::printf("instrumented fault sites (arm with --fault-inject "
-                  "'site@k[:kind]', see docs/ROBUSTNESS.md):\n");
-      for (const std::string& site : fault::registered_sites())
-        std::printf("  %s\n", site.c_str());
-      std::printf("kinds:");
-      bool first = true;
-      for (const std::string& kind : fault::kind_names()) {
-        std::printf("%s %s%s", first ? "" : ",", kind.c_str(),
-                    first ? " (default)" : "");
-        first = false;
-      }
-      std::printf("\n");
-      std::exit(0);
-    }
-    for (const char* flag : kFlags) {
-      const std::size_t n = std::strlen(flag);
-      if (std::strcmp(arg, flag) == 0 && i + 1 < *argc) {
-        apply(flag, argv[++i]);
-        consumed = true;
-        break;
-      }
-      if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') {
-        apply(flag, arg + n + 1);
-        consumed = true;
-        break;
-      }
-    }
-    if (!consumed) argv[out++] = argv[i];
+    const char* value = nullptr;
+    if (eq != std::string::npos)
+      value = argv[i] + eq + 1;
+    else if (i + 1 < *argc && std::strncmp(argv[i + 1], "--", 2) != 0)
+      value = argv[++i];
+    if (value == nullptr || *value == '\0')
+      detail::usage_error("missing value: " + name + " " + flag->arg);
+    detail::apply_flag(name, value);
   }
   *argc = out;
+  if (s.list_fault_sites) {
+    detail::print_fault_sites();
+    std::exit(0);
+  }
   if (s.no_cache) {
     cache::configure(cache::CacheConfig::disabled());
   } else if (s.cache_mb >= 0) {
@@ -444,8 +456,8 @@ inline void record_run_json(const std::string& row_json) {
 
 /// Records a completed flow run for --stats-json output (no-op when the flag
 /// was not given) and incrementally recommits the stats document, so a
-/// mid-sweep crash loses at most the in-flight run. run_flow() calls this
-/// automatically.
+/// mid-sweep crash loses at most the in-flight run. run_sweep() records its
+/// rows itself.
 inline void record_run(const FlowRun& row) {
   if (detail::sink().path.empty()) return;
   detail::record_run_json(detail::flow_run_json(row));
@@ -462,19 +474,20 @@ inline void write_stats_json() {
 
 namespace detail {
 
-/// The in-process flow run (the pre-supervisor run_flow body). `rung`
-/// carries the supervisor's retry budget clamps ({} = none): nonzero fields
-/// take the minimum with whatever budget the run already had, so a retried
-/// row degrades through the normal ladder instead of re-dying.
-inline FlowRun run_flow_local(const std::string& name, const SynthesisOptions& opts,
-                              const std::string& flow, const super::RetryRung& rung) {
+/// The in-process run of one sweep row. `rung` carries the supervisor's
+/// retry budget clamps ({} = none): nonzero fields take the minimum with
+/// whatever budget the run already had, so a retried row degrades through
+/// the normal ladder instead of re-dying.
+inline FlowRun run_row_local(const SweepRow& sweep_row, const super::RetryRung& rung) {
+  const std::string& name = sweep_row.circuit;
+  const std::string& flow = sweep_row.flow;
   FlowRun row;
   row.circuit = name;
   row.flow = flow;
   try {
     bdd::Manager m;
     const circuits::Benchmark bench = circuits::build(name, m);
-    SynthesisOptions governed = opts;
+    SynthesisOptions governed = sweep_row.options;
     const ResourceBudget& cli = cli_budget();
     if (cli.time_ms > 0.0) governed.budget.time_ms = cli.time_ms;
     if (cli.node_ceiling != 0) governed.budget.node_ceiling = cli.node_ceiling;
@@ -588,7 +601,7 @@ inline FlowRun flow_run_from_json(const std::string& row_json) {
 
 /// The sweep supervisor of this process (--supervise), built lazily from
 /// the command-line flags. Intentionally leaked: its journal fd must stay
-/// valid for any run_flow call, whatever the static destruction order.
+/// valid for any row, whatever the static destruction order.
 inline super::Supervisor& supervisor() {
   static super::Supervisor* s = [] {
     const StatsSink& snk = sink();
@@ -605,47 +618,55 @@ inline super::Supervisor& supervisor() {
   return *s;
 }
 
-}  // namespace detail
+/// The journal key of a row: "<circuit>/<flow>", or the circuit alone.
+inline std::string row_key(const SweepRow& row) {
+  return row.flow.empty() ? row.circuit : row.circuit + "/" + row.flow;
+}
 
-/// Runs one synthesis flow on a named benchmark in a fresh manager. Any
-/// --time-budget-ms / --node-budget from the command line overrides the
-/// options' budget fields (only the ones actually given).
+/// Registers a row with the supervisor ahead of its harvest, so
+/// --sweep-jobs children can overlap independent rows.
+inline void plan_flow(const SweepRow& row) {
+  supervisor().plan_row(row_key(row), [row](const super::RetryRung& rung) {
+    return flow_run_json(run_row_local(row, rung));
+  });
+}
+
+/// Runs (or, supervised, harvests) one row and records it for --stats-json.
 ///
 /// A typed error (a fault injected outside the degradation ladder, or a
 /// budget trip even degradation could not absorb) does NOT kill the sweep:
 /// the row is recorded with `error` set and all-zero metrics, and the next
-/// circuit runs.
+/// row runs.
 ///
 /// Under --supervise the run happens in a forked, watchdogged child
 /// (docs/ROBUSTNESS.md §"Sweep supervision"): a crash, OOM kill, or hang
 /// costs only this row's attempt, the outcome lands durably in the journal,
 /// and a --resume rerun replays completed rows instead of re-running them.
-inline FlowRun run_flow(const std::string& name, const SynthesisOptions& opts,
-                        const std::string& flow = "") {
-  if (!detail::sink().supervise) {
-    FlowRun row = detail::run_flow_local(name, opts, flow, {});
+inline FlowRun run_flow(const SweepRow& sweep_row) {
+  if (!sink().supervise) {
+    FlowRun row = run_row_local(sweep_row, {});
     record_run(row);
     return row;
   }
-  const std::string key = flow.empty() ? name : name + "/" + flow;
-  const super::RowOutcome out = detail::supervisor().run_row(
-      key, [&name, &opts, &flow](const super::RetryRung& rung) {
-        return detail::flow_run_json(detail::run_flow_local(name, opts, flow, rung));
+  const std::string key = row_key(sweep_row);
+  const super::RowOutcome out =
+      supervisor().run_row(key, [&sweep_row](const super::RetryRung& rung) {
+        return flow_run_json(run_row_local(sweep_row, rung));
       });
   if (out.ok()) {
     // Republish the child's (or the journal's) document verbatim so
     // supervised, resumed, and unsupervised stats stay bit-identical.
-    detail::record_run_json(out.payload);
+    record_run_json(out.payload);
     try {
-      return detail::flow_run_from_json(out.payload);
+      return flow_run_from_json(out.payload);
     } catch (const Error& e) {
       std::fprintf(stderr, "%s: unreadable run document (%s)\n", key.c_str(),
                    e.what());
     }
   }
   FlowRun row;
-  row.circuit = name;
-  row.flow = flow;
+  row.circuit = sweep_row.circuit;
+  row.flow = sweep_row.flow;
   if (!out.ok()) {
     row.error = "supervisor: " + out.reason;
     std::fprintf(stderr, "%s: %s\n", key.c_str(), row.error.c_str());
@@ -654,19 +675,25 @@ inline FlowRun run_flow(const std::string& name, const SynthesisOptions& opts,
   return row;
 }
 
-/// Registers a flow for background execution ahead of its run_flow call, so
-/// --sweep-jobs children can overlap independent rows. No-op unless
-/// supervised (sequential binaries need no plan). Call once per upcoming
-/// run_flow, in any order — results still come back in run_flow call order,
-/// so tables and --stats-json stay bit-identical to an unplanned sweep.
-inline void plan_flow(const std::string& name, const SynthesisOptions& opts,
-                      const std::string& flow = "") {
-  if (!detail::sink().supervise) return;
-  const std::string key = flow.empty() ? name : name + "/" + flow;
-  detail::supervisor().plan_row(
-      key, [name, opts, flow](const super::RetryRung& rung) {
-        return detail::flow_run_json(detail::run_flow_local(name, opts, flow, rung));
-      });
+}  // namespace detail
+
+/// Runs a sweep: each row is a fresh-manager synthesis of a named circuit
+/// (circuits::build) under its options, with any --time-budget-ms /
+/// --node-budget from the command line overriding the options' budget
+/// fields (only the ones actually given). Returns one FlowRun per row, in
+/// row order, and records each for --stats-json.
+///
+/// Under --supervise every row is planned up front, so --sweep-jobs n
+/// children overlap independent rows; results are still harvested in row
+/// order, so printed tables and --stats-json records are bit-identical to
+/// an unsupervised sweep.
+inline std::vector<FlowRun> run_sweep(const std::vector<SweepRow>& rows) {
+  if (detail::sink().supervise)
+    for (const SweepRow& row : rows) detail::plan_flow(row);
+  std::vector<FlowRun> runs;
+  runs.reserve(rows.size());
+  for (const SweepRow& row : rows) runs.push_back(detail::run_flow(row));
+  return runs;
 }
 
 inline void print_rule(int width) {

@@ -16,49 +16,38 @@ struct Row {
   double avg_symmetries = 0;
 };
 
-std::vector<Row> g_rows;
-
-void run_density(benchmark::State& state, int dc_percent) {
-  for (auto _ : state) {
-    constexpr int kTrials = 12, kVars = 10;
-    Row row;
-    row.dc_percent = dc_percent;
-    for (int trial = 0; trial < kTrials; ++trial) {
-      mfd::Rng rng(static_cast<std::uint64_t>(dc_percent) * 131 + trial);
-      mfd::bdd::Manager m(kVars);
-      // Random on-set; each input is a don't care with probability dc%.
-      mfd::bdd::Bdd on = mfd::bench_shim::random_function(m, rng, kVars, 24);
-      mfd::bdd::Bdd dc = mfd::bench_shim::random_density(m, rng, kVars, dc_percent);
-      const mfd::Isf f(on & !dc, !dc);
-      const mfd::MinimizeResult r = mfd::minimize_robdd_size(f);
-      row.avg_before += static_cast<double>(r.size_before) / kTrials;
-      row.avg_after += static_cast<double>(r.size_after) / kTrials;
-      row.avg_symmetries += static_cast<double>(r.symmetries_created) / kTrials;
-    }
-    g_rows.push_back(row);
-    state.counters["before"] = row.avg_before;
-    state.counters["after"] = row.avg_after;
+Row run_density(int dc_percent) {
+  constexpr int kTrials = 12, kVars = 10;
+  Row row;
+  row.dc_percent = dc_percent;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    mfd::Rng rng(static_cast<std::uint64_t>(dc_percent) * 131 + trial);
+    mfd::bdd::Manager m(kVars);
+    // Random on-set; each input is a don't care with probability dc%.
+    mfd::bdd::Bdd on = mfd::bench_shim::random_function(m, rng, kVars, 24);
+    mfd::bdd::Bdd dc = mfd::bench_shim::random_density(m, rng, kVars, dc_percent);
+    const mfd::Isf f(on & !dc, !dc);
+    const mfd::MinimizeResult r = mfd::minimize_robdd_size(f);
+    row.avg_before += static_cast<double>(r.size_before) / kTrials;
+    row.avg_after += static_cast<double>(r.size_after) / kTrials;
+    row.avg_symmetries += static_cast<double>(r.symmetries_created) / kTrials;
   }
+  return row;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (const int dc : {0, 10, 25, 50, 75})
-    benchmark::RegisterBenchmark(("robdd_minimize/dc" + std::to_string(dc)).c_str(),
-                                 [dc](benchmark::State& s) { run_density(s, dc); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  mfd::bench::parse_flags(&argc, argv);
+  std::vector<Row> rows;
+  for (const int dc : {0, 10, 25, 50, 75}) rows.push_back(run_density(dc));
 
   std::printf("\n[20]-style experiment: ROBDD size of the chosen extension vs\n");
   std::printf("extension-zero, by don't-care density (10-var random specs).\n\n");
   std::printf("%5s | %10s %10s %7s | %10s\n", "dc%", "ext-zero", "minimized",
                "ratio", "symmetries");
   mfd::bench::print_rule(52);
-  for (const Row& r : g_rows)
+  for (const Row& r : rows)
     std::printf("%4d%% | %10.1f %10.1f %6.0f%% | %10.1f\n", r.dc_percent,
                  r.avg_before, r.avg_after,
                  100.0 * r.avg_after / std::max(1.0, r.avg_before), r.avg_symmetries);

@@ -22,41 +22,34 @@ struct AdderRow {
   bool verified = false;
 };
 
-std::vector<AdderRow> g_rows;
+AdderRow run_adder(int n) {
+  AdderRow row;
+  row.n = n;
 
-void run_adder(benchmark::State& state, int n) {
-  for (auto _ : state) {
-    AdderRow row;
-    row.n = n;
+  mfd::bdd::Manager m;
+  const auto bench = mfd::circuits::adder(m, n);
+  mfd::Synthesizer synth(mfd::preset_mulop_dc(2));
+  const auto r = synth.run(bench);
+  row.synth_gates = r.network.count_gates();
+  row.synth_depth = r.network.depth();
+  row.verified = r.verified;
 
-    mfd::bdd::Manager m;
-    const auto bench = mfd::circuits::adder(m, n);
-    mfd::Synthesizer synth(mfd::preset_mulop_dc(2));
-    const auto r = synth.run(bench);
-    row.synth_gates = r.network.count_gates();
-    row.synth_depth = r.network.depth();
-    row.verified = r.verified;
-
-    const auto csa = mfd::net::conditional_sum_adder(n);
-    row.csa_gates = csa.count_gates();
-    row.csa_depth = csa.depth();
-    const auto rca = mfd::net::ripple_carry_adder(n);
-    row.rca_gates = rca.count_gates();
-    row.rca_depth = rca.depth();
-
-    g_rows.push_back(row);
-    state.counters["synth_gates"] = row.synth_gates;
-    state.counters["csa_gates"] = row.csa_gates;
-  }
+  const auto csa = mfd::net::conditional_sum_adder(n);
+  row.csa_gates = csa.count_gates();
+  row.csa_depth = csa.depth();
+  const auto rca = mfd::net::ripple_carry_adder(n);
+  row.rca_gates = rca.count_gates();
+  row.rca_depth = rca.depth();
+  return row;
 }
 
-void print_table() {
+void print_table(const std::vector<AdderRow>& rows) {
   std::printf("\nFigure 2: n-bit adders as two-input gate networks (n_LUT = 2).\n");
   std::printf("paper's data point: 49 gates (mulop-dc) vs 90 (conditional sum) at n = 8.\n\n");
   std::printf("%3s | %12s %6s | %10s %6s | %10s %6s | %s\n", "n", "mulop-dc",
                "depth", "cond-sum", "depth", "ripple", "depth", "verified");
   mfd::bench::print_rule(78);
-  for (const AdderRow& row : g_rows)
+  for (const AdderRow& row : rows)
     std::printf("%3d | %12d %6d | %10d %6d | %10d %6d | %s\n", row.n,
                  row.synth_gates, row.synth_depth, row.csa_gates, row.csa_depth,
                  row.rca_gates, row.rca_depth, row.verified ? "yes" : "NO");
@@ -67,15 +60,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (const int n : {2, 4, 8, 16})
-    benchmark::RegisterBenchmark(("fig2/add" + std::to_string(n)).c_str(),
-                                 [n](benchmark::State& s) { run_adder(s, n); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
+  mfd::bench::parse_flags(&argc, argv);
+  std::vector<AdderRow> rows;
+  for (const int n : {2, 4, 8, 16}) rows.push_back(run_adder(n));
+  print_table(rows);
   mfd::bench::write_stats_json();
   return 0;
 }

@@ -21,45 +21,38 @@ struct PmRow {
   bool verified = false;
 };
 
-std::vector<PmRow> g_rows;
-
-void run_pm(benchmark::State& state, int n) {
-  for (auto _ : state) {
-    PmRow row;
-    row.n = n;
-    {
-      mfd::bdd::Manager m;
-      const auto bench = mfd::circuits::partial_multiplier(m, n);
-      const auto r = mfd::Synthesizer(mfd::preset_mulop_dc(2)).run(bench);
-      row.dc_gates = r.network.count_gates();
-      row.dc_depth = r.network.depth();
-      row.verified = r.verified;
-    }
-    {
-      mfd::bdd::Manager m;
-      const auto bench = mfd::circuits::partial_multiplier(m, n);
-      const auto r = mfd::Synthesizer(mfd::preset_mulopII(2)).run(bench);
-      row.nodc_gates = r.network.count_gates();
-      row.nodc_depth = r.network.depth();
-    }
-    const auto wallace = mfd::net::wallace_tree_pp(n);
-    row.wallace_gates = wallace.count_gates();
-    row.wallace_depth = wallace.depth();
-    g_rows.push_back(row);
-    state.counters["dc_gates"] = row.dc_gates;
-    state.counters["nodc_gates"] = row.nodc_gates;
-    state.counters["wallace_gates"] = row.wallace_gates;
+PmRow run_pm(int n) {
+  PmRow row;
+  row.n = n;
+  {
+    mfd::bdd::Manager m;
+    const auto bench = mfd::circuits::partial_multiplier(m, n);
+    const auto r = mfd::Synthesizer(mfd::preset_mulop_dc(2)).run(bench);
+    row.dc_gates = r.network.count_gates();
+    row.dc_depth = r.network.depth();
+    row.verified = r.verified;
   }
+  {
+    mfd::bdd::Manager m;
+    const auto bench = mfd::circuits::partial_multiplier(m, n);
+    const auto r = mfd::Synthesizer(mfd::preset_mulopII(2)).run(bench);
+    row.nodc_gates = r.network.count_gates();
+    row.nodc_depth = r.network.depth();
+  }
+  const auto wallace = mfd::net::wallace_tree_pp(n);
+  row.wallace_gates = wallace.count_gates();
+  row.wallace_depth = wallace.depth();
+  return row;
 }
 
-void print_table() {
+void print_table(const std::vector<PmRow>& rows) {
   std::printf("\nFigure 3: partial multipliers pm_n as two-input gate networks.\n");
   std::printf("paper: without DC assignment, pm_4 needs ~75%% more gates;\n");
   std::printf("Wallace-tree comparison ~ 10n^2 - 20n gates (incl. operand ANDs).\n\n");
   std::printf("%3s | %9s %6s | %9s %6s | %8s | %9s %6s | %s\n", "n", "mulop-dc",
                "depth", "no-DC", "depth", "overhead", "wallace", "depth", "verified");
   mfd::bench::print_rule(84);
-  for (const PmRow& row : g_rows)
+  for (const PmRow& row : rows)
     std::printf("%3d | %9d %6d | %9d %6d | %+7.0f%% | %9d %6d | %s\n", row.n,
                  row.dc_gates, row.dc_depth, row.nodc_gates, row.nodc_depth,
                  100.0 * (row.nodc_gates - row.dc_gates) / std::max(1, row.dc_gates),
@@ -72,15 +65,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (const int n : {2, 3, 4})
-    benchmark::RegisterBenchmark(("fig3/pm" + std::to_string(n)).c_str(),
-                                 [n](benchmark::State& s) { run_pm(s, n); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
+  mfd::bench::parse_flags(&argc, argv);
+  std::vector<PmRow> rows;
+  for (const int n : {2, 3, 4}) rows.push_back(run_pm(n));
+  print_table(rows);
   mfd::bench::write_stats_json();
   return 0;
 }

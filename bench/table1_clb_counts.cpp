@@ -12,21 +12,8 @@
 namespace {
 
 using mfd::bench::FlowRun;
-using mfd::bench::run_flow;
 
-std::map<std::string, std::pair<FlowRun, FlowRun>> g_rows;
-
-void run_circuit(benchmark::State& state, const std::string& name) {
-  for (auto _ : state) {
-    const FlowRun base = run_flow(name, mfd::preset_mulopII(5), "mulopII");
-    const FlowRun dc = run_flow(name, mfd::preset_mulop_dc(5), "mulop-dc");
-    g_rows[name] = {base, dc};
-    state.counters["clb_mulopII"] = base.clb_greedy;
-    state.counters["clb_mulop_dc"] = dc.clb_greedy;
-  }
-}
-
-void print_table() {
+void print_table(const std::map<std::string, std::pair<FlowRun, FlowRun>>& rows) {
   std::printf("\nTable 1: CLB counts for the XC3000 device (n_LUT = 5),\n");
   std::printf("without (mulopII: all DCs := 0) and with (mulop-dc) the 3-step\n");
   std::printf("don't-care assignment; first-fit CLB merge in both flows.\n\n");
@@ -34,8 +21,8 @@ void print_table() {
                "mulop-dc", "ratio");
   mfd::bench::print_rule(56);
   long total_base = 0, total_dc = 0;
-  for (const auto& [name, rows] : g_rows) {
-    const auto& [base, dc] = rows;
+  for (const auto& [name, pair] : rows) {
+    const auto& [base, dc] = pair;
     total_base += base.clb_greedy;
     total_dc += dc.clb_greedy;
     std::printf("%-8s %4d %4d | %9d %9d | %6.2f%%\n", name.c_str(), base.inputs,
@@ -53,21 +40,17 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (const std::string& name : mfd::circuits::table_rows())
-    benchmark::RegisterBenchmark(("table1/" + name).c_str(),
-                                 [name](benchmark::State& s) { run_circuit(s, name); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  // Register the whole sweep plan up front so a supervised run with
-  // --sweep-jobs > 1 can overlap independent rows (no-op otherwise).
+  mfd::bench::parse_flags(&argc, argv);
+  std::vector<mfd::bench::SweepRow> sweep;
   for (const std::string& name : mfd::circuits::table_rows()) {
-    mfd::bench::plan_flow(name, mfd::preset_mulopII(5), "mulopII");
-    mfd::bench::plan_flow(name, mfd::preset_mulop_dc(5), "mulop-dc");
+    sweep.push_back({name, mfd::preset_mulopII(5), "mulopII"});
+    sweep.push_back({name, mfd::preset_mulop_dc(5), "mulop-dc"});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
+  const std::vector<FlowRun> runs = mfd::bench::run_sweep(sweep);
+  std::map<std::string, std::pair<FlowRun, FlowRun>> rows;
+  for (std::size_t i = 0; i < runs.size(); i += 2)
+    rows[sweep[i].circuit] = {runs[i], runs[i + 1]};
+  print_table(rows);
   mfd::bench::write_stats_json();
   return 0;
 }

@@ -15,27 +15,13 @@
 namespace {
 
 using mfd::bench::FlowRun;
-using mfd::bench::run_flow;
 
 struct Row {
   FlowRun dcII;      // mulop-dcII (matching merge)
   FlowRun noshare;   // in-house competitor baseline
 };
 
-std::map<std::string, Row> g_rows;
-
-void run_circuit(benchmark::State& state, const std::string& name) {
-  for (auto _ : state) {
-    Row row;
-    row.dcII = run_flow(name, mfd::preset_mulop_dc(5), "mulop-dc");
-    row.noshare = run_flow(name, mfd::preset_noshare_nodc(5), "noshare-nodc");
-    g_rows[name] = row;
-    state.counters["clb_mulop_dcII"] = row.dcII.clb_matching;
-    state.counters["clb_noshare_nodc"] = row.noshare.clb_matching;
-  }
-}
-
-void print_table() {
+void print_table(const std::map<std::string, Row>& rows) {
   std::printf("\nTable 2: CLB counts for the XC3000 device, matching-based\n");
   std::printf("LUT->CLB merge (mulop-dcII) vs an in-house simpler mapper\n");
   std::printf("(noshare-nodc: per-output, no sharing, no DC exploitation;\n");
@@ -44,7 +30,7 @@ void print_table() {
                "noshare", "dcII-greedy", "ratio");
   mfd::bench::print_rule(62);
   long total_dcII = 0, total_noshare = 0;
-  for (const auto& [name, row] : g_rows) {
+  for (const auto& [name, row] : rows) {
     total_dcII += row.dcII.clb_matching;
     total_noshare += row.noshare.clb_matching;
     std::printf("%-8s | %11d %11d | %11d | %6.2f%%\n", name.c_str(),
@@ -60,21 +46,17 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (const std::string& name : mfd::circuits::table_rows())
-    benchmark::RegisterBenchmark(("table2/" + name).c_str(),
-                                 [name](benchmark::State& s) { run_circuit(s, name); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  // Register the whole sweep plan up front so a supervised run with
-  // --sweep-jobs > 1 can overlap independent rows (no-op otherwise).
+  mfd::bench::parse_flags(&argc, argv);
+  std::vector<mfd::bench::SweepRow> sweep;
   for (const std::string& name : mfd::circuits::table_rows()) {
-    mfd::bench::plan_flow(name, mfd::preset_mulop_dc(5), "mulop-dc");
-    mfd::bench::plan_flow(name, mfd::preset_noshare_nodc(5), "noshare-nodc");
+    sweep.push_back({name, mfd::preset_mulop_dc(5), "mulop-dc"});
+    sweep.push_back({name, mfd::preset_noshare_nodc(5), "noshare-nodc"});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
+  const std::vector<FlowRun> runs = mfd::bench::run_sweep(sweep);
+  std::map<std::string, Row> rows;
+  for (std::size_t i = 0; i < runs.size(); i += 2)
+    rows[sweep[i].circuit] = {runs[i], runs[i + 1]};
+  print_table(rows);
   mfd::bench::write_stats_json();
   return 0;
 }

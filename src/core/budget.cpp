@@ -24,7 +24,6 @@ bool global_expire_requested() noexcept {
 const char* degrade_level_name(int level) {
   switch (level) {
     case kDegradeFull: return "full";
-    case kDegradeGreedyColoring: return "greedy_coloring";
     case kDegradeNoDcSteps: return "no_dc_steps";
     case kDegradeStructural: return "structural";
   }

@@ -9,8 +9,8 @@
 // Tripping a budget raises a typed `BudgetExceeded`; the decomposition
 // driver catches it and walks the *degradation ladder*
 //
-//   0 full flow  ->  1 greedy-only coloring  ->  2 skip DC steps 1/3
-//     ->  3 structural (Shannon / BDD-mux) fallback,
+//   0 full flow  ->  1 skip DC steps 1/3 and exact coloring
+//     ->  2 structural (Shannon / BDD-mux) fallback,
 //
 // recording each downgrade, so the flow always returns a *verified* network
 // plus a `DegradationReport` instead of crashing (see docs/ROBUSTNESS.md).
@@ -23,7 +23,7 @@
 //   a direct pointer (set by the flow) so the `mk` hot path pays one branch,
 //   not a TLS load, when no governor is active.
 // * Budgets are *soft*: they bound optimization effort, never correctness.
-//   The ladder's floor (level 3) and exact verification run under a
+//   The ladder's floor (level 2) and exact verification run under a
 //   `SuspendScope` — once every cheaper rung has been tried, the final
 //   emission must complete, and that is recorded in the report.
 // * Deadline checks in the `mk` hot path are strided (one clock read per
@@ -79,10 +79,9 @@ struct ResourceBudget {
 
 /// The degradation ladder's rungs (monotone per flow).
 enum DegradeLevel : int {
-  kDegradeFull = 0,           ///< full flow (exact coloring, all DC steps)
-  kDegradeGreedyColoring = 1, ///< DSATUR only, no exact branch-and-bound
-  kDegradeNoDcSteps = 2,      ///< additionally skip DC steps 1 (symmetrize) and 3
-  kDegradeStructural = 3,     ///< Shannon / BDD-mux fallback only (ladder floor)
+  kDegradeFull = 0,        ///< full flow (exact coloring, all DC steps)
+  kDegradeNoDcSteps = 1,   ///< skip DC steps 1 (symmetrize) and 3; DSATUR only
+  kDegradeStructural = 2,  ///< Shannon / BDD-mux fallback only (ladder floor)
 };
 
 const char* degrade_level_name(int level);

@@ -107,7 +107,7 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
 
 /// Ladder driver wrapping one recursion level. On BudgetExceeded / bad_alloc
 /// it raises the (global, monotone) degradation level one rung and retries
-/// the same subproblem; the structural floor (level 3) runs with enforcement
+/// the same subproblem; the structural floor (level 2) runs with enforcement
 /// suspended, so it completes unless a fault is injected into it — only then
 /// does a typed error escape to the caller. `ids[i]` is the primary-output
 /// index function i computes (kInternalId for alpha recursions), used to

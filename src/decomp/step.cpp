@@ -93,7 +93,7 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   }
 
   // ---- step 1: symmetrize --------------------------------------------
-  // Skipped from ladder level 2 on: symmetrization only buys optimization
+  // Skipped from ladder level 1 on: symmetrization only buys optimization
   // quality, and it is one of the two DC steps the ladder sheds.
   if (c.opts.exploit_dc && c.opts.dc_symmetrize &&
       c.gov->degrade_level() < kDegradeNoDcSteps &&
@@ -206,7 +206,7 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
     partitions.assign(tables.size(), joint);
   } else if (c.opts.exploit_dc && c.opts.dc_per_output &&
              c.gov->degrade_level() < kDegradeNoDcSteps) {
-    // Step 3 is the other DC step shed at ladder level 2.
+    // Step 3 is the other DC step shed at ladder level 1.
     obs::ScopedPhase phase("per_output");
     partitions = assign_per_output(tables, c.opts.seed);
   } else {

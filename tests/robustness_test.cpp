@@ -106,12 +106,12 @@ TEST(ResourceGovernor, SuspendScopeDisablesEveryCheck) {
 TEST(ResourceGovernor, DegradeLadderIsMonotoneAndRecorded) {
   ResourceGovernor gov;
   EXPECT_EQ(gov.degrade_level(), kDegradeFull);
-  gov.raise_degrade(kDegradeNoDcSteps, "test.phase", "because");
-  gov.raise_degrade(kDegradeGreedyColoring, "test.phase", "ignored downgrade");
-  EXPECT_EQ(gov.degrade_level(), kDegradeNoDcSteps);
+  gov.raise_degrade(kDegradeStructural, "test.phase", "because");
+  gov.raise_degrade(kDegradeNoDcSteps, "test.phase", "ignored downgrade");
+  EXPECT_EQ(gov.degrade_level(), kDegradeStructural);
   ASSERT_EQ(gov.report().events.size(), 1u);
   EXPECT_EQ(gov.report().events[0].from_level, kDegradeFull);
-  EXPECT_EQ(gov.report().events[0].to_level, kDegradeNoDcSteps);
+  EXPECT_EQ(gov.report().events[0].to_level, kDegradeStructural);
   EXPECT_EQ(gov.report().events[0].phase, "test.phase");
   EXPECT_TRUE(gov.report().degraded());
 }
