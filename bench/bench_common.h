@@ -54,6 +54,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -120,7 +121,7 @@ inline std::string network_hash(const net::LutNetwork& net) {
     const net::Lut& lut = net.lut(i);
     mix(static_cast<std::int64_t>(lut.inputs.size()));
     for (int s : lut.inputs) mix(s);
-    for (bool bit : lut.table) mix(bit);
+    for (std::size_t b = 0; b < lut.table.size(); ++b) mix(lut.table[b]);
   }
   mix(net.num_outputs());
   for (int s : net.outputs()) mix(s);
@@ -405,9 +406,18 @@ inline std::string cli_passes() {
 
 namespace detail {
 
+/// Prints why the stats file could not be written and exits 1: a sweep
+/// must not report stats it did not write.
+[[noreturn]] inline void stats_write_failed(const char* what, const std::string& path,
+                                            int err) {
+  std::fprintf(stderr, "cannot %s %s: %s\n", what, path.c_str(), std::strerror(err));
+  std::exit(1);
+}
+
 /// Commits the stats document so far to the --stats-json path via temp +
 /// fsync + rename: a reader (or a crash) never sees a torn document, and a
-/// mid-sweep death keeps every completed record.
+/// mid-sweep death keeps every completed record. Any failed step is fatal
+/// (stats_write_failed).
 inline void flush_stats_json() {
   const StatsSink& s = sink();
   if (s.path.empty()) return;
@@ -431,17 +441,17 @@ inline void flush_stats_json() {
   w.end_object();
   const std::string tmp = s.path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", tmp.c_str());
-    return;
+  if (f == nullptr) stats_write_failed("open", tmp, errno);
+  bool ok = std::fputs(w.str().c_str(), f) >= 0 && std::fputc('\n', f) != EOF &&
+            std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  int err = errno;
+  if (std::fclose(f) != 0 && ok) {
+    ok = false;
+    err = errno;
   }
-  std::fputs(w.str().c_str(), f);
-  std::fputc('\n', f);
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  std::fclose(f);
+  if (!ok) stats_write_failed("write", tmp, err);
   if (std::rename(tmp.c_str(), s.path.c_str()) != 0)
-    std::fprintf(stderr, "cannot rename %s to %s\n", tmp.c_str(), s.path.c_str());
+    stats_write_failed("rename", tmp + " to " + s.path, errno);
 }
 
 /// Records a pre-serialized run document and recommits the stats file.

@@ -2,7 +2,9 @@
 //
 //   mfd_synth [options] <input.{pla,blif}|benchmark-name>
 //
-//   --lut <k>        LUT fanin bound (default 5; 2 = two-input gates)
+//   --lut <k>        LUT fanin bound (default 5; 2 = two-input gates; at
+//                    most 15, so k plus one extra bound-set variable fits
+//                    a 16-variable table)
 //   --flow <name>    mulop-dc (default) | mulopII | noshare-nodc
 //   --out <file>     write the synthesized network as BLIF (default: stdout
 //                    summary only)
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (input.empty() || lut < 2) return usage();
+  if (input.empty()) return usage();
 
   SynthesisOptions opts;
   if (flow == "mulop-dc") opts = preset_mulop_dc(lut);
@@ -99,6 +101,7 @@ int main(int argc, char** argv) {
   opts.decomp.seed = seed;
 
   try {
+    check_lut_width(opts);
     bdd::Manager m;
     std::vector<Isf> spec;
     std::vector<std::string> in_names, out_names;

@@ -9,13 +9,23 @@
 #include "cache/cache.h"
 #include "core/errors.h"
 #include "core/passes.h"
+#include "io/blif.h"
 #include "net/simulate.h"
 
 namespace mfd {
 
+void check_lut_width(const SynthesisOptions& opts) {
+  const int k = opts.decomp.lut_inputs, extra = opts.decomp.max_bound_extra;
+  if (k < 2 || static_cast<long long>(k) + extra > tt::kMaxVars)
+    throw Error("LUT width " + std::to_string(k) + " (plus " +
+                std::to_string(extra) + " extra bound-set variables) must be at least 2 "
+                "and at most " + std::to_string(tt::kMaxVars) + " in total");
+}
+
 SynthesisResult Synthesizer::run(std::vector<Isf> spec,
                                  const std::vector<int>& pi_vars,
                                  const std::string& circuit) const {
+  check_lut_width(opts_);
   const auto start = std::chrono::steady_clock::now();
   // One run == one observability epoch: the report in the result covers
   // exactly this synthesis (including both portfolio entries).
@@ -41,7 +51,7 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
         [base](const net::LutNetwork& net, const net::Pass& pass, int index) {
           const std::string stem =
               base + "." + std::to_string(index) + "-" + pass.name();
-          std::ofstream(stem + ".blif") << net.to_blif(pass.name());
+          std::ofstream(stem + ".blif") << io::write_blif(net, pass.name());
           std::ofstream(stem + ".dot") << net.to_dot(pass.name());
         });
   }

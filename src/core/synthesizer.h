@@ -99,6 +99,11 @@ class Synthesizer {
   SynthesisOptions opts_;
 };
 
+/// Throws mfd::Error unless the LUT width is usable: 2 <= lut_inputs and
+/// lut_inputs + max_bound_extra <= tt::kMaxVars, the widest table any LUT
+/// or alpha of the run can need. Synthesizer::run checks this first.
+void check_lut_width(const SynthesisOptions& opts);
+
 /// The paper's flows as option presets.
 SynthesisOptions preset_mulop_dc(int lut_inputs = 5);   ///< full DC exploitation
 SynthesisOptions preset_mulopII(int lut_inputs = 5);    ///< all DCs assigned 0

@@ -13,7 +13,7 @@ namespace {
 
 /// Value of a candidate function on each class of a partition, or empty if
 /// the function is not constant on some class (not strict).
-std::vector<int> class_values(const std::vector<bool>& fn,
+std::vector<int> class_values(const tt::Table& fn,
                               const std::vector<int>& partition, int k) {
   std::vector<int> value(static_cast<std::size_t>(k), -1);
   for (std::size_t v = 0; v < partition.size(); ++v) {
@@ -139,7 +139,7 @@ Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
           values[static_cast<std::size_t>(c)] =
               rank >= (size[static_cast<std::size_t>(ci)] + 1) / 2 ? 1 : 0;
         }
-        std::vector<bool> fn(num_vertices);
+        tt::Table fn(p);
         for (std::size_t v = 0; v < num_vertices; ++v)
           fn[v] = values[static_cast<std::size_t>(part[v])] != 0;
         enc.functions.push_back(std::move(fn));
@@ -157,7 +157,7 @@ Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
   // while functions that differ only in polarity become identical tables
   // that simplify() merges (see the header comment).
   for (auto& fn : enc.functions)
-    if (fn[0]) fn.flip();
+    if (fn[0]) fn = ~fn;
   obs::add("encoding.outputs_encoded", static_cast<std::uint64_t>(m));
   return enc;
 }

@@ -18,12 +18,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "tt/table.h"
+
 namespace mfd {
 
 struct Encoding {
-  /// Each decomposition function as its value on every bound vertex, in
-  /// canonical polarity (value false on bound vertex 0) — see encode_shared.
-  std::vector<std::vector<bool>> functions;
+  /// Each decomposition function as a table over the p bound variables
+  /// (bit v = its value on bound vertex v), in canonical polarity (value
+  /// false on bound vertex 0) — see encode_shared.
+  std::vector<tt::Table> functions;
   /// Per output: indices into `functions`, size r_i.
   std::vector<std::vector<int>> used;
   /// Pool reuses / fresh splitters of *this* call. Per-call attribution for

@@ -14,6 +14,7 @@
 #include "decomp/dc_assign.h"
 #include "decomp/driver.h"
 #include "decomp/encoding.h"
+#include "net/simulate.h"
 #include "obs/obs.h"
 #include "sym/symmetrize.h"
 #include "sym/symmetry.h"
@@ -268,20 +269,12 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
     // Oversized bound set: rebuild each alpha as a BDD over the bound
     // variables and decompose it recursively (Section 2: "decomposition has
     // to be applied recursively to alpha and g").
+    std::vector<bdd::Bdd> bound_vars;
+    for (int v : bound) bound_vars.push_back(m.var(v));
     std::vector<Isf> alpha_fns;
     alpha_fns.reserve(static_cast<std::size_t>(enc.total_functions()));
-    for (int j = 0; j < enc.total_functions(); ++j) {
-      bdd::Bdd alpha = m.bdd_false();
-      const auto& fn = enc.functions[static_cast<std::size_t>(j)];
-      for (std::size_t v = 0; v < fn.size(); ++v) {
-        if (!fn[v]) continue;
-        bdd::Bdd minterm = m.bdd_true();
-        for (std::size_t bIdx = 0; bIdx < bound.size(); ++bIdx)
-          minterm &= m.literal(bound[bIdx], (v >> bIdx) & 1);
-        alpha |= minterm;
-      }
-      alpha_fns.push_back(Isf::completely_specified(alpha));
-    }
+    for (const tt::Table& fn : enc.functions)
+      alpha_fns.push_back(Isf::completely_specified(net::table_bdd(fn, bound_vars, m)));
     const std::vector<int> alpha_ids(alpha_fns.size(), kInternalId);
     obs::ScopedPhase recurse_phase("recurse");
     const std::vector<int> alpha_sigs =

@@ -34,7 +34,7 @@ class GateBuilder {
   std::pair<int, int> half_adder(int a, int b);
 
  private:
-  int gate(int a, int b, std::vector<bool> table) {
+  int gate(int a, int b, tt::Table table) {
     return net_.add_lut({{a, b}, std::move(table)});
   }
   LutNetwork& net_;

@@ -12,7 +12,7 @@ namespace mfd::net {
 LutNetwork::LutNetwork(int num_primary_inputs) : num_pi_(num_primary_inputs) {}
 
 int LutNetwork::add_lut(Lut lut) {
-  assert(lut.table.size() == (std::size_t{1} << lut.inputs.size()));
+  assert(lut.table.num_vars() == static_cast<int>(lut.inputs.size()));
   const int signal = lut_signal(num_luts());
   for ([[maybe_unused]] int in : lut.inputs)
     assert(is_constant(in) || (in >= 0 && in < signal));
@@ -33,9 +33,9 @@ void LutNetwork::replace_lut(int index, Lut lut) {
   if (index < 0 || index >= num_luts())
     throw Error("LutNetwork::replace_lut: LUT index " + std::to_string(index) +
                 " out of range (" + std::to_string(num_luts()) + " LUTs)");
-  if (lut.table.size() != (std::size_t{1} << lut.inputs.size()))
-    throw Error("LutNetwork::replace_lut: table size " +
-                std::to_string(lut.table.size()) + " does not match " +
+  if (lut.table.num_vars() != static_cast<int>(lut.inputs.size()))
+    throw Error("LutNetwork::replace_lut: table over " +
+                std::to_string(lut.table.num_vars()) + " variables does not match " +
                 std::to_string(lut.inputs.size()) + " inputs");
   const int signal = lut_signal(index);
   for (int in : lut.inputs)
@@ -156,17 +156,10 @@ Lut collapse_duplicate_inputs(Lut lut) {
         ++k;
         continue;
       }
-      const std::size_t bit_k = std::size_t{1} << k;
-      std::vector<bool> table(lut.table.size() / 2);
-      for (std::size_t idx = 0; idx < table.size(); ++idx) {
-        const std::size_t low = idx & (bit_k - 1);
-        const std::size_t high = (idx & ~(bit_k - 1)) << 1;
-        const std::size_t source = high | low;
-        // Take the entry where bit k mirrors bit j.
-        const bool bj = (source >> j) & 1;
-        table[idx] = lut.table[source | (bj ? bit_k : 0)];
-      }
-      lut.table = std::move(table);
+      // Input k mirrors input j: each half on j takes the same half on k.
+      const int vj = static_cast<int>(j), vk = static_cast<int>(k);
+      lut.table = tt::Table::join(vj, lut.table.cofactor(vk, false).cofactor(vj, false),
+                                  lut.table.cofactor(vk, true).cofactor(vj, true));
       lut.inputs.erase(lut.inputs.begin() + static_cast<std::ptrdiff_t>(k));
     }
   }
@@ -176,29 +169,12 @@ Lut collapse_duplicate_inputs(Lut lut) {
 }  // namespace
 
 Lut LutNetwork::prune_inputs(Lut lut) {
-  for (std::size_t j = 0; j < lut.inputs.size();) {
-    const std::size_t bit = std::size_t{1} << j;
-    bool essential = false;
-    for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
-      if ((idx & bit) == 0 && lut.table[idx] != lut.table[idx | bit]) {
-        essential = true;
-        break;
-      }
-    }
-    if (essential) {
-      ++j;
-      continue;
-    }
-    // Remove input j: keep entries with bit j = 0, compacting the index.
-    std::vector<bool> table(lut.table.size() / 2);
-    for (std::size_t idx = 0; idx < table.size(); ++idx) {
-      const std::size_t low = idx & (bit - 1);
-      const std::size_t high = (idx & ~(bit - 1)) << 1;
-      table[idx] = lut.table[high | low];
-    }
-    lut.table = std::move(table);
-    lut.inputs.erase(lut.inputs.begin() + static_cast<std::ptrdiff_t>(j));
-  }
+  std::vector<int> kept;
+  lut.table = lut.table.shrink_to_support(&kept);
+  std::vector<int> inputs;
+  inputs.reserve(kept.size());
+  for (int j : kept) inputs.push_back(lut.inputs[static_cast<std::size_t>(j)]);
+  lut.inputs = std::move(inputs);
   return lut;
 }
 
@@ -223,7 +199,7 @@ int LutNetwork::simplify() {
     for (std::size_t s = 0; s < repl.size(); ++s) repl[s] = static_cast<int>(s);
     auto mapped = [&](int s) { return is_constant(s) ? s : repl[static_cast<std::size_t>(s)]; };
 
-    std::map<std::pair<std::vector<int>, std::vector<bool>>, int> canonical;
+    std::map<std::pair<std::vector<int>, tt::Table>, int> canonical;
 
     for (int i = 0; i < num_luts(); ++i) {
       Lut lut = luts_[static_cast<std::size_t>(i)];
@@ -236,11 +212,7 @@ int LutNetwork::simplify() {
         const Lut& driver = luts_[static_cast<std::size_t>(lut_index(in))];
         if (driver.inputs.size() == 1 && !driver.table[1] && driver.table[0]) {
           lut.inputs[j] = driver.inputs[0];
-          const std::size_t bit = std::size_t{1} << j;
-          std::vector<bool> flipped(lut.table.size());
-          for (std::size_t idx = 0; idx < lut.table.size(); ++idx)
-            flipped[idx] = lut.table[idx ^ bit];
-          lut.table = std::move(flipped);
+          lut.table = lut.table.flip(static_cast<int>(j));
           changed = true;
         }
       }
@@ -251,15 +223,7 @@ int LutNetwork::simplify() {
           ++j;
           continue;
         }
-        const bool v = lut.inputs[j] == kConst1;
-        const std::size_t bit = std::size_t{1} << j;
-        std::vector<bool> table(lut.table.size() / 2);
-        for (std::size_t idx = 0; idx < table.size(); ++idx) {
-          const std::size_t low = idx & (bit - 1);
-          const std::size_t high = (idx & ~(bit - 1)) << 1;
-          table[idx] = lut.table[high | low | (v ? bit : 0)];
-        }
-        lut.table = std::move(table);
+        lut.table = lut.table.cofactor(static_cast<int>(j), lut.inputs[j] == kConst1);
         lut.inputs.erase(lut.inputs.begin() + static_cast<std::ptrdiff_t>(j));
         changed = true;
       }
@@ -351,9 +315,7 @@ int LutNetwork::collapse(int max_inputs) {
 
         // Rebuild the consumer's table over the merged inputs by evaluating
         // feeder-then-consumer for every assignment.
-        Lut packed;
-        packed.inputs = merged;
-        packed.table.resize(std::size_t{1} << merged.size());
+        Lut packed{merged, tt::Table(static_cast<int>(merged.size()))};
         for (std::size_t idx = 0; idx < packed.table.size(); ++idx) {
           auto value_of = [&](int signal) {
             if (signal == kConst0) return false;

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "tt/table.h"
+
 namespace mfd::net {
 
 inline constexpr int kConst0 = -1;
@@ -18,7 +20,7 @@ inline constexpr int kConst1 = -2;
 
 struct Lut {
   std::vector<int> inputs;  ///< signal ids, fanin order = truth-table bit order
-  std::vector<bool> table;  ///< size 2^inputs.size(); bit j of the index is inputs[j]
+  tt::Table table;  ///< over inputs.size() variables; variable j is inputs[j]
 
   bool operator==(const Lut&) const = default;
 };
@@ -100,11 +102,7 @@ class LutNetwork {
 
   std::string to_string() const;
 
-  // ---- export -------------------------------------------------------------
-  /// Berkeley BLIF text of the live network (one .names per live LUT,
-  /// constants as single-line covers). `model` names the .model; inputs are
-  /// pi0..., outputs po0..., internal signals n<index>.
-  std::string to_blif(const std::string& model = "lutnet") const;
+  // ---- export (BLIF is io::write_blif) -------------------------------------
   /// Graphviz dot text of the live network (PIs as boxes, LUTs as ellipses
   /// labelled with fanin count, POs as double circles).
   std::string to_dot(const std::string& name = "lutnet") const;

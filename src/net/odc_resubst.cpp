@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/budget.h"
-#include "isf/isf.h"
 #include "net/lutnet.h"
 #include "net/simulate.h"
 #include "obs/obs.h"
@@ -191,12 +190,12 @@ bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
 /// so one AND decides both leaves. Returns false when the table has no
 /// don't cares.
 bool table_isf(const LutNetwork& net, const SweepState& st, bdd::Manager& m,
-               int t_idx, const bdd::Bdd& care_set, std::vector<bool>* on,
-               std::vector<bool>* care) {
+               int t_idx, const bdd::Bdd& care_set, tt::Table* on,
+               tt::Table* care) {
   const Lut& lut = net.lut(t_idx);
   const std::size_t k = lut.inputs.size();
-  on->assign(lut.table.size(), false);
-  care->assign(lut.table.size(), false);
+  *on = tt::Table(static_cast<int>(k));
+  *care = tt::Table(static_cast<int>(k));
   std::vector<bdd::Bdd> in(k);
   for (std::size_t j = 0; j < k; ++j) in[j] = st.signal_bdd(m, lut.inputs[j]);
 
@@ -231,90 +230,35 @@ bool table_isf(const LutNetwork& net, const SweepState& st, bdd::Manager& m,
 /// r when the two halves agree wherever both care; merge on/care. Repeats
 /// until no dimension is removable. `rem` receives the surviving positions
 /// (indices into the original fanin list), ascending.
-void remove_compatible_inputs(std::vector<bool>* on, std::vector<bool>* care,
+void remove_compatible_inputs(tt::Table* on, tt::Table* care,
                               std::vector<int>* rem) {
-  bool removed = true;
-  while (removed && !rem->empty()) {
-    removed = false;
-    for (std::size_t r = 0; r < rem->size(); ++r) {
-      const std::size_t k = rem->size();
-      const std::size_t half = std::size_t{1} << (k - 1);
-      const std::size_t lo_bits = (std::size_t{1} << r) - 1;
-      auto expand = [&](std::size_t idx, bool bit) {
-        return (idx & lo_bits) | (bit ? (std::size_t{1} << r) : 0) |
-               ((idx & ~lo_bits) << 1);
-      };
-      bool compatible = true;
-      for (std::size_t idx = 0; idx < half && compatible; ++idx) {
-        const std::size_t a = expand(idx, false), b = expand(idx, true);
-        if ((*care)[a] && (*care)[b] && (*on)[a] != (*on)[b]) compatible = false;
-      }
-      if (!compatible) continue;
-      std::vector<bool> non(half), ncare(half);
-      for (std::size_t idx = 0; idx < half; ++idx) {
-        const std::size_t a = expand(idx, false), b = expand(idx, true);
-        non[idx] = ((*care)[a] && (*on)[a]) || ((*care)[b] && (*on)[b]);
-        ncare[idx] = (*care)[a] || (*care)[b];
-      }
-      *on = std::move(non);
-      *care = std::move(ncare);
-      rem->erase(rem->begin() + static_cast<std::ptrdiff_t>(r));
-      removed = true;
-      break;  // dimensions shifted; restart the scan
+  for (std::size_t r = 0; r < rem->size();) {
+    const int v = static_cast<int>(r);
+    const tt::Table on0 = on->cofactor(v, false), on1 = on->cofactor(v, true);
+    const tt::Table care0 = care->cofactor(v, false), care1 = care->cofactor(v, true);
+    if (!((on0 ^ on1) & care0 & care1).none()) {
+      ++r;
+      continue;
     }
+    *on = (on0 & care0) | (on1 & care1);
+    *care = care0 | care1;
+    rem->erase(rem->begin() + v);
+    r = 0;  // dimensions shifted; restart the scan
   }
 }
 
-/// Completes the remaining don't cares, preferring a small representation:
-/// Coudert-Madre restrict of the on-set w.r.t. the care set on a throwaway
-/// local manager (one variable per surviving fanin), then drops fanins the
-/// chosen extension turned inessential.
-Lut fill_extension(const Lut& old, const std::vector<bool>& on,
-                   const std::vector<bool>& care, std::vector<int> rem) {
+/// Completes the remaining don't cares, preferring a small representation
+/// (the table form of Isf::extension_small on the surviving fanins, in
+/// order), then drops fanins the chosen extension turned inessential.
+Lut fill_extension(const Lut& old, const tt::Table& on, const tt::Table& care,
+                   const std::vector<int>& rem) {
   Lut out;
-  if (rem.empty()) {
-    out.table = {care[0] && on[0]};
-    return out;
-  }
-  const std::size_t k = rem.size();
-  bdd::Manager lm(static_cast<int>(k));
-  std::vector<bdd::Bdd> vars;
-  for (std::size_t j = 0; j < k; ++j) vars.push_back(lm.var(static_cast<int>(j)));
-  // Isf's constructor masks the on-set with the care set.
-  const bdd::Bdd ext =
-      Isf(table_bdd(on, vars, lm), table_bdd(care, vars, lm)).extension_small();
-
-  std::vector<bool> table(std::size_t{1} << k);
-  std::vector<bool> assignment(k, false);
-  for (std::size_t idx = 0; idx < table.size(); ++idx) {
-    for (std::size_t j = 0; j < k; ++j) assignment[j] = (idx >> j) & 1;
-    table[idx] = lm.eval(ext.id(), assignment);
-  }
-
-  // The extension may not depend on every surviving fanin — drop the ones
-  // whose cofactor halves became equal.
-  for (std::size_t r = rem.size(); r-- > 0;) {
-    const std::size_t cur = rem.size();
-    const std::size_t half = std::size_t{1} << (cur - 1);
-    const std::size_t lo_bits = (std::size_t{1} << r) - 1;
-    auto expand = [&](std::size_t idx, bool bit) {
-      return (idx & lo_bits) | (bit ? (std::size_t{1} << r) : 0) |
-             ((idx & ~lo_bits) << 1);
-    };
-    bool essential = false;
-    for (std::size_t idx = 0; idx < half && !essential; ++idx)
-      essential = table[expand(idx, false)] != table[expand(idx, true)];
-    if (essential) continue;
-    std::vector<bool> shrunk(half);
-    for (std::size_t idx = 0; idx < half; ++idx)
-      shrunk[idx] = table[expand(idx, false)];
-    table = std::move(shrunk);
-    rem.erase(rem.begin() + static_cast<std::ptrdiff_t>(r));
-  }
-
-  out.inputs.reserve(rem.size());
-  for (int r : rem) out.inputs.push_back(old.inputs[static_cast<std::size_t>(r)]);
-  out.table = std::move(table);
+  std::vector<int> kept;
+  out.table = tt::extension_small(on, care).shrink_to_support(&kept);
+  out.inputs.reserve(kept.size());
+  for (int p : kept)
+    out.inputs.push_back(
+        old.inputs[static_cast<std::size_t>(rem[static_cast<std::size_t>(p)])]);
   return out;
 }
 
@@ -372,7 +316,7 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
         Lut repl;
         {
           obs::ScopedPhase phase("isf");
-          std::vector<bool> on, care;
+          tt::Table on, care;
           if (!table_isf(net, st, m, t, care_set, &on, &care)) continue;
 
           const Lut& old = net.lut(t);
@@ -381,7 +325,7 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
             rem[j] = static_cast<int>(j);
           remove_compatible_inputs(&on, &care, &rem);
           if (rem.size() == old.inputs.size()) continue;  // nothing strictly won
-          repl = fill_extension(old, on, care, std::move(rem));
+          repl = fill_extension(old, on, care, rem);
         }
         const int saved =
             static_cast<int>(net.lut(t).inputs.size() - repl.inputs.size());

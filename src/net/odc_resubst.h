@@ -18,8 +18,8 @@
 // The don't cares turn t's truth table back into an ISF, which is
 // re-minimized with the same machinery the decomposition flow uses: fanins
 // whose cofactor halves are compatible are dropped, and the surviving table
-// is completed by the Coudert-Madre restrict (Isf::extension_small) on a
-// throwaway local manager. A rewrite is applied only when it strictly
+// is completed by the Coudert-Madre restrict computed on the truth table
+// (tt::extension_small, the table form of Isf::extension_small). A rewrite is applied only when it strictly
 // removes fanins (or collapses the LUT to a constant); each sweep ends with
 // simplify()+collapse(k) and sweeps iterate to a fixpoint.
 //

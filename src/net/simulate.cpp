@@ -6,7 +6,7 @@
 
 namespace mfd::net {
 
-bdd::Bdd table_bdd(const std::vector<bool>& table,
+bdd::Bdd table_bdd(const tt::Table& table,
                    const std::vector<bdd::Bdd>& fanins, bdd::Manager& m) {
   // The partial results are unreferenced edges; hold off reactive GC until
   // the root is wrapped.

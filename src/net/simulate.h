@@ -16,13 +16,13 @@
 
 namespace mfd::net {
 
-/// BDD of a truth table over the given fanin functions: `table` has
-/// 2^fanins.size() bits, bit j of an index selecting fanins[j]'s value (the
-/// Lut convention). The table is folded as a mux tree, fanin 0 first: each
-/// level pairs adjacent entries into ite(fanin_j, hi, lo) and skips the ite
-/// when both halves are equal, so a k-input table costs at most 2^k - 1 ite
-/// calls. This is the one table-to-BDD construction of the net layer.
-bdd::Bdd table_bdd(const std::vector<bool>& table,
+/// BDD of a truth table over the given fanin functions: variable j of
+/// `table` is fanins[j] (the Lut convention). The table is folded as a mux
+/// tree, fanin 0 first: each level pairs adjacent entries into
+/// ite(fanin_j, hi, lo) and skips the ite when both halves are equal, so a
+/// k-input table costs at most 2^k - 1 ite calls. This is the one
+/// table-to-BDD construction of the flow.
+bdd::Bdd table_bdd(const tt::Table& table,
                    const std::vector<bdd::Bdd>& fanins, bdd::Manager& m);
 
 /// BDD of one LUT given a fanin lookup: `fanin(signal)` returns the BDD of

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "circuits/circuits.h"
+#include "core/errors.h"
 #include "core/synthesizer.h"
 #include "net/simulate.h"
 #include "testlib.h"
@@ -261,7 +262,7 @@ TEST(Flow, DecomposeLeavesNoDuplicateLiveLuts) {
     const net::LutNetwork net =
         decompose(fns, identity_pis(bench.num_inputs), preset_noshare_nodc(5).decomp);
     const std::vector<bool> live = net.live_luts();
-    std::set<std::pair<std::vector<int>, std::vector<bool>>> seen;
+    std::set<std::pair<std::vector<int>, tt::Table>> seen;
     for (int i = 0; i < net.num_luts(); ++i) {
       if (!live[static_cast<std::size_t>(i)]) continue;
       const net::Lut& lut = net.lut(i);
@@ -291,6 +292,20 @@ TEST(Flow, WideLutEqualsSingleTable) {
   EXPECT_TRUE(r.verified);
   EXPECT_LE(r.network.count_luts(), 3);
   EXPECT_EQ(r.network.depth(), 1);
+}
+
+TEST(Flow, LutWidthOutsideTableRangeIsRejected) {
+  // Every LUT and alpha table has at most lut_inputs + max_bound_extra
+  // variables, which must fit tt::kMaxVars; below 2 inputs nothing fits.
+  Manager m(2);
+  const std::vector<Isf> spec{Isf::completely_specified(m.var(0) & m.var(1))};
+  for (int k : {-1, 0, 1, tt::kMaxVars, 64}) {
+    EXPECT_THROW(Synthesizer(preset_mulop_dc(k)).run(spec, identity_pis(2)), Error)
+        << "k=" << k;
+  }
+  SynthesisOptions no_extra = preset_mulop_dc(tt::kMaxVars);
+  no_extra.decomp.max_bound_extra = 0;
+  EXPECT_TRUE(Synthesizer(no_extra).run(spec, identity_pis(2)).verified);
 }
 
 }  // namespace

@@ -26,6 +26,13 @@ Lut and2(int a, int b) { return {{a, b}, {false, false, false, true}}; }
 Lut or2(int a, int b) { return {{a, b}, {false, true, true, true}}; }
 Lut xor2(int a, int b) { return {{a, b}, {false, true, true, false}}; }
 Lut inv(int a) { return {{a}, {true, false}}; }
+
+/// A random table over k variables, one rng.flip() per bit in minterm order.
+tt::Table random_tt(Rng& rng, int k) {
+  tt::Table t(k);
+  for (std::size_t idx = 0; idx < t.size(); ++idx) t[idx] = rng.flip();
+  return t;
+}
 Lut buf(int a) { return {{a}, {false, true}}; }
 
 /// A random LUT network over `n` primary inputs with `gates` LUTs of fanin
@@ -42,8 +49,7 @@ LutNetwork random_network(Rng& rng, int n, int gates, int num_outputs) {
     Lut lut;
     for (int j = 0; j < k; ++j)
       lut.inputs.push_back(signals[static_cast<std::size_t>(rng.below(signals.size()))]);
-    lut.table.resize(std::size_t{1} << k);
-    for (auto&& bit : lut.table) bit = rng.flip();
+    lut.table = random_tt(rng, k);
     signals.push_back(net.add_lut(std::move(lut)));
   }
   for (int o = 0; o < num_outputs; ++o)
@@ -174,8 +180,7 @@ TEST(Simplify, PreservesBehaviorOnRandomNetworks) {
       Lut lut;
       for (int j = 0; j < k; ++j)
         lut.inputs.push_back(signals[static_cast<std::size_t>(rng.below(signals.size()))]);
-      lut.table.resize(std::size_t{1} << k);
-      for (auto&& bit : lut.table) bit = rng.flip();
+      lut.table = random_tt(rng, k);
       signals.push_back(net.add_lut(std::move(lut)));
     }
     for (int o = 0; o < 3; ++o)
@@ -250,8 +255,7 @@ TEST(Collapse, PreservesBehaviorOnRandomNetworks) {
       Lut lut;
       for (int j = 0; j < k; ++j)
         lut.inputs.push_back(signals[static_cast<std::size_t>(rng.below(signals.size()))]);
-      lut.table.resize(std::size_t{1} << k);
-      for (auto&& bit : lut.table) bit = rng.flip();
+      lut.table = random_tt(rng, k);
       signals.push_back(net.add_lut(std::move(lut)));
     }
     for (int o = 0; o < 3; ++o)
@@ -337,7 +341,7 @@ TEST(Simulate, LutBddMatchesMintermSumReference) {
       for (int j = 0; j < k; ++j)
         lut.inputs.push_back(repeated ? same
                                       : static_cast<int>(rng.below(pool.size())));
-      lut.table = test::random_table(rng, k);
+      lut.table = random_tt(rng, k);
       EXPECT_EQ(lut_bdd(lut, m, fanin), minterm_sum(lut, m, pool))
           << "k=" << k << " trial " << trial;
     }
@@ -510,8 +514,8 @@ TEST(LutNetwork, ReplaceLutPreservesTopologicalOrder) {
 // ---------------------------------------------------------------------------
 
 TEST(Export, BlifRoundTripsThroughTheParser) {
-  // to_blif() output must mean what the network computes: parse it back with
-  // the io reader and compare output BDDs function by function.
+  // write_blif() output must mean what the network computes: parse it back
+  // with the io reader and compare output BDDs function by function.
   Rng rng(4242);
   for (int trial = 0; trial < 10; ++trial) {
     const int n = rng.range(2, 5);
@@ -520,7 +524,7 @@ TEST(Export, BlifRoundTripsThroughTheParser) {
     std::vector<int> pis(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) pis[static_cast<std::size_t>(i)] = i;
     const auto direct = output_bdds(net, m, pis);
-    const io::BlifModel parsed = io::parse_blif(net.to_blif("roundtrip"), m);
+    const io::BlifModel parsed = io::parse_blif(io::write_blif(net, "roundtrip"), m);
     EXPECT_EQ(parsed.name, "roundtrip");
     ASSERT_EQ(parsed.inputs.size(), static_cast<std::size_t>(n));
     ASSERT_EQ(parsed.functions.size(), direct.size());
@@ -532,10 +536,10 @@ TEST(Export, BlifRoundTripsThroughTheParser) {
 TEST(Export, BlifEmitsConstantsOnlyWhenReferenced) {
   LutNetwork net(1);
   net.add_output(net.add_lut(buf(0)));
-  const std::string plain = net.to_blif();
+  const std::string plain = io::write_blif(net, "lutnet");
   EXPECT_EQ(plain.find("const"), std::string::npos);
   net.add_output(kConst1);
-  const std::string with_const = net.to_blif();
+  const std::string with_const = io::write_blif(net, "lutnet");
   EXPECT_NE(with_const.find("const1"), std::string::npos);
   EXPECT_EQ(with_const.find("const0"), std::string::npos);
   // The constant output still parses back to the constant function.
@@ -691,7 +695,7 @@ TEST(OdcResubst, PreservesOutputsOnDeepParityChains) {
                                      : rng.below(signals.size());
         lut.inputs.push_back(signals[pick]);
       }
-      lut.table.resize(std::size_t{1} << k);
+      lut.table = tt::Table(k);
       const std::uint64_t kind = rng.below(4);  // random, XOR, XNOR, AND
       for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
         const bool parity = std::popcount(idx) & 1;
